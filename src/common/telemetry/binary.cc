@@ -53,6 +53,18 @@ void PutDouble(std::string& out, double value) {
   }
 }
 
+// Trace kinds a decoder accepts: 0..kEpochRollover and
+// kDefenseTrigger..kPageMove. The gap (wire value 13) is retired, and any
+// byte past kPageMove comes from a foreign or corrupt file.
+static_assert(static_cast<uint8_t>(TraceKind::kEpochRollover) == 12 &&
+                  static_cast<uint8_t>(TraceKind::kPageMove) == 17,
+              "trace kind wire values must not move");
+bool IsKnownTraceKind(uint8_t kind) {
+  return kind <= static_cast<uint8_t>(TraceKind::kEpochRollover) ||
+         (kind >= static_cast<uint8_t>(TraceKind::kDefenseTrigger) &&
+          kind <= static_cast<uint8_t>(TraceKind::kPageMove));
+}
+
 // Bounds-checked reader over the payload bytes.
 class Reader {
  public:
@@ -532,6 +544,10 @@ std::optional<std::vector<TraceBufferSnapshot>> DecodeTraceBinary(std::string_vi
       }
       prev_cycle += static_cast<uint64_t>(delta);
       event.cycle = prev_cycle;
+      if (!IsKnownTraceKind(kind)) {
+        reader.Fail("unknown trace event kind " + std::to_string(kind));
+        return std::nullopt;
+      }
       event.kind = static_cast<TraceKind>(kind);
       if (row > 0xFFFFFFFFull) {
         reader.Fail("row exceeds 32 bits");

@@ -68,16 +68,6 @@ void ThreadPool::FoldQueuePeak(uint64_t depth) {
   }
 }
 
-void ThreadPool::NoteExternalDispatch(uint64_t jobs) {
-  tasks_.fetch_add(1, std::memory_order_relaxed);
-  jobs_.fetch_add(jobs, std::memory_order_relaxed);
-  FoldQueuePeak(queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1);
-}
-
-void ThreadPool::NoteExternalComplete() {
-  queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-}
-
 bool ThreadPool::RunOneJob(Task& task) {
   if (task.failed.load(std::memory_order_relaxed)) {
     return false;
@@ -196,18 +186,6 @@ void ThreadPool::Run(uint64_t jobs, unsigned max_concurrency,
   if (task.error != nullptr) {
     std::rethrow_exception(task.error);
   }
-}
-
-namespace {
-std::atomic<int> g_fanout_depth{0};
-}  // namespace
-
-PoolFanoutRegion::PoolFanoutRegion() { g_fanout_depth.fetch_add(1, std::memory_order_relaxed); }
-
-PoolFanoutRegion::~PoolFanoutRegion() { g_fanout_depth.fetch_sub(1, std::memory_order_relaxed); }
-
-bool PoolFanoutRegion::Active() {
-  return g_fanout_depth.load(std::memory_order_relaxed) != 0;
 }
 
 void ParallelFor(uint64_t jobs, unsigned threads, const std::function<void(uint64_t)>& body) {

@@ -85,9 +85,6 @@ struct RunnerTelemetryOptions {
   std::string trace_out;    // Chrome trace_event JSON for all scenarios.
   std::string metrics_out;  // hammertime.metrics.v1 run-report document.
   Cycle sample_every = 0;   // Sampler period; defaulted when metrics_out set.
-  // Overrides McConfig::shard_min_window for every scenario when nonzero
-  // (--shard-min-window in hammertime and the scenario benches).
-  Cycle shard_min_window = 0;
 };
 
 RunnerTelemetryOptions& RunnerTelemetry();

@@ -138,7 +138,7 @@ std::vector<TraceBufferSnapshot> SampleTrace() {
   buffer.events = {
       {100, TraceKind::kAct, 0, 0, 3, 4096, 0},
       {130, TraceKind::kBitFlip, 0, 1, 3, 4097, (uint64_t{3} << 32) | 4095},
-      {131, TraceKind::kShardSync, 1, 0, 0, 2048, 17},
+      {131, TraceKind::kMitigationRefresh, 1, 0, 2, 2048, 1},
       {200, TraceKind::kPageMove, 0, 0, 0, 0, 0xdeadbeef},
   };
   TraceBufferSnapshot empty;
@@ -202,6 +202,23 @@ TEST(BinaryTrace, RejectsTruncation) {
     std::string error;
     EXPECT_FALSE(DecodeTraceBinary(std::string_view(encoded).substr(0, len), &error).has_value())
         << "prefix of " << len << " bytes decoded";
+  }
+}
+
+TEST(BinaryTrace, RejectsUnknownEventKinds) {
+  // The retired value 13 and any byte past kPageMove come from a foreign
+  // or corrupt file; each must fail with a message, not decode as "?".
+  for (const uint8_t kind : {uint8_t{13}, uint8_t{18}, uint8_t{0xFF}}) {
+    TraceBufferSnapshot buffer;
+    buffer.label = "corrupt";
+    buffer.capacity = 4;
+    buffer.emitted = 1;
+    buffer.events = {{100, static_cast<TraceKind>(kind), 0, 0, 0, 0, 0}};
+    std::string error;
+    EXPECT_FALSE(DecodeTraceBinary(EncodeTraceBinary({buffer}), &error).has_value())
+        << "kind " << int{kind} << " decoded";
+    EXPECT_NE(error.find("unknown trace event kind " + std::to_string(kind)), std::string::npos)
+        << error;
   }
 }
 

@@ -21,40 +21,23 @@ namespace ht {
 namespace {
 
 // Stats whose whole purpose is to measure the scheduling mechanism; they
-// legitimately differ between the event and legacy wake patterns (the
-// per-channel cmds_per_wake histograms count one entry per channel scan,
-// so legacy mode's every-cycle scans dwarf the event mode's).
+// legitimately differ between the event and legacy wake patterns (legacy
+// mode's every-cycle scans dwarf the event mode's).
 bool IsSchedulerTelemetry(const std::string& name) {
-  if (name == "mc.wake_batches" || name == "mc.cmds_per_wake" || name == "mc.sync_barriers" ||
-      name == "mc.shard_wait_cycles" || name == "mc.shard_window") {
-    return true;
-  }
-  return name.rfind("mc.ch", 0) == 0 &&
-         name.size() >= 14 && name.compare(name.size() - 14, 14, ".cmds_per_wake") == 0;
+  return name == "mc.wake_batches" || name == "mc.cmds_per_wake";
 }
 
-// Stats that measure the channel-sharding machinery itself; the ONLY
-// permitted differences between a sharded and a serial event-driven run.
-// Wake telemetry is NOT exempted there: the shard replay loop visits
-// exactly the serial path's wake cycles, so even mc.cmds_per_wake must
-// match bit-for-bit.
-bool IsShardTelemetry(const std::string& name) {
-  return name == "mc.sync_barriers" || name == "mc.shard_wait_cycles" ||
-         name == "mc.shard_window";
-}
-
-void ExpectStatsIdentical(const StatSet& a, const StatSet& b,
-                          bool (*exempt)(const std::string&) = IsSchedulerTelemetry) {
+void ExpectStatsIdentical(const StatSet& a, const StatSet& b) {
   ASSERT_EQ(a.counters().size(), b.counters().size());
   for (const auto& [name, counter] : a.counters()) {
-    if (exempt(name)) {
+    if (IsSchedulerTelemetry(name)) {
       continue;
     }
     EXPECT_EQ(counter.value(), b.Get(name)) << "counter " << name;
   }
   ASSERT_EQ(a.histograms().size(), b.histograms().size());
   for (const auto& [name, histogram] : a.histograms()) {
-    if (exempt(name)) {
+    if (IsSchedulerTelemetry(name)) {
       continue;
     }
     const Histogram* other = b.GetHistogram(name);
@@ -145,51 +128,6 @@ TEST(EventScheduling, MatchesLegacyUnderBlockHammerThrottle) {
 
 TEST(EventScheduling, MatchesLegacyUnderGrapheneWithPerBankRefresh) {
   ExpectVariantsMatch(Hw::kGraphene, true, 450000);
-}
-
-// Two-channel system with finite benign workloads: the busy phase runs
-// lockstep (cores cap the horizon at `now`), then the refresh-only tail
-// decouples the channels and the sharded advance engages.
-VariantOutcome RunShardVariant(bool shard, Cycle cycles) {
-  SystemConfig config;
-  config.cores = 2;
-  config.core.window = 2;
-  config.dram.org.channels = 2;
-  config.mc.shard_channels = shard;
-  config.dram.retention.refresh_window = 200000;
-  config.dram.retention.ref_commands_per_window = 64;
-
-  System system(config);
-  auto tenants = SetupTenants(system, 2, /*pages_each=*/512);
-  for (uint32_t i = 0; i < 2; ++i) {
-    system.AssignCore(i, tenants[i],
-                      MakeWorkload("stream", tenants[i], AddressSpace::BaseFor(tenants[i]),
-                                   512 * kPageBytes, 20000, 8));
-  }
-  system.RunFor(cycles);
-
-  VariantOutcome outcome;
-  outcome.stats = system.CollectStats();
-  outcome.flips = system.TotalFlips();
-  outcome.ops = system.TotalOpsCompleted();
-  outcome.end = system.now();
-  outcome.wake_batches = outcome.stats.Get("mc.wake_batches");
-  return outcome;
-}
-
-TEST(EventScheduling, ShardedMatchesSerialBitForBit) {
-  const VariantOutcome sharded = RunShardVariant(true, 600000);
-  const VariantOutcome serial = RunShardVariant(false, 600000);
-  EXPECT_EQ(sharded.end, serial.end);
-  EXPECT_EQ(sharded.flips, serial.flips);
-  EXPECT_EQ(sharded.ops, serial.ops);
-  // Wake telemetry included: the shard loop reproduces the serial wake
-  // pattern exactly, so only the shard counters themselves may differ.
-  ExpectStatsIdentical(sharded.stats, serial.stats, IsShardTelemetry);
-  EXPECT_EQ(sharded.wake_batches, serial.wake_batches);
-  // The sharded path actually engaged (refresh-only tail windows).
-  EXPECT_GT(sharded.stats.Get("mc.sync_barriers"), 0u);
-  EXPECT_EQ(serial.stats.Get("mc.sync_barriers"), 0u);
 }
 
 TEST(EventScheduling, StallCountersSurviveRepeatedCollection) {

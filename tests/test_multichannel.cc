@@ -1,6 +1,6 @@
 // Multi-channel / multi-rank configurations: the full stack must behave
-// identically with more parallel resources — including when the MC's
-// channel-sharded advance replaces serial event-driven ticking.
+// identically with more parallel resources, and the event-driven MC must
+// match the per-cycle legacy scheduler on every channel count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,38 +93,23 @@ TEST(MultiChannel, AttackAndDefenseWorkOnAnyChannel) {
   EXPECT_GT(system.defense()->stats().Get("defense.victim_refreshes"), 0u);
 }
 
-// --- Sharded-advance bit-identity fuzz ------------------------------------
+// --- Event-driven vs legacy scheduler fuzz ---------------------------------
 //
-// Drives two identical MemoryControllers with the same randomized request
-// mix in fixed windows: one through the serial event-driven loop
-// (Tick/NextWake), one through AdvanceChannels. Everything observable —
-// counters, latency histograms, per-channel device stats, flip events —
-// must match bit-for-bit; only the shard telemetry itself may differ.
+// Drives two MemoryControllers with the same randomized request mix in
+// fixed windows: one event-driven (Tick only at NextWake), one with
+// McConfig::event_driven=false ticked every cycle — the per-cycle
+// reference. Everything observable — counters, latency histograms,
+// per-channel device stats, flip events — must match bit-for-bit; only
+// the scheduler's own wake telemetry may differ.
 
-struct ShardFuzzParams {
+struct ChannelFuzzParams {
   uint64_t seed = 0;
   uint32_t channels = 2;
   uint32_t ranks = 1;
   bool per_bank_refresh = false;
-  // Member count handed to AdvanceChannels (0 = the shared thread
-  // budget); >1 exercises the persistent worker group.
-  unsigned max_workers = 1;
-  // 0 keeps the McConfig default. A tiny value parallel-dispatches every
-  // stretch; a huge one forces every window onto the inline replay path.
-  Cycle min_window = 0;
 };
 
-McConfig ShardFuzzMcConfig(const ShardFuzzParams& params) {
-  McConfig mc;
-  mc.event_driven = true;
-  mc.shard_channels = true;
-  if (params.min_window != 0) {
-    mc.shard_min_window = params.min_window;
-  }
-  return mc;
-}
-
-DramConfig ShardFuzzDramConfig(const ShardFuzzParams& params) {
+DramConfig ChannelFuzzDramConfig(const ChannelFuzzParams& params) {
   DramConfig dram = DramConfig::SimDefault();
   dram.org.channels = params.channels;
   dram.org.ranks = params.ranks;
@@ -153,10 +138,12 @@ std::vector<MemRequest> DrawWindowRequests(Rng& rng, const AddressMapper& mapper
   return batch;
 }
 
-void RunShardFuzzCase(const ShardFuzzParams& params) {
-  const DramConfig dram = ShardFuzzDramConfig(params);
-  MemoryController serial(dram, ShardFuzzMcConfig(params));
-  MemoryController sharded(dram, ShardFuzzMcConfig(params));
+void RunChannelFuzzCase(const ChannelFuzzParams& params) {
+  const DramConfig dram = ChannelFuzzDramConfig(params);
+  McConfig legacy_config;
+  legacy_config.event_driven = false;
+  MemoryController event(dram, McConfig{});
+  MemoryController legacy(dram, legacy_config);
 
   Rng rng(params.seed);
   const Cycle window = 1500;
@@ -164,102 +151,77 @@ void RunShardFuzzCase(const ShardFuzzParams& params) {
   for (uint32_t w = 0; w < windows; ++w) {
     const Cycle wstart = static_cast<Cycle>(w) * window;
     const Cycle wend = wstart + window;
-    for (const MemRequest& request : DrawWindowRequests(rng, serial.mapper())) {
-      const bool a = serial.Enqueue(request, wstart);
-      const bool b = sharded.Enqueue(request, wstart);
+    for (const MemRequest& request : DrawWindowRequests(rng, event.mapper())) {
+      const bool a = event.Enqueue(request, wstart);
+      const bool b = legacy.Enqueue(request, wstart);
       ASSERT_EQ(a, b) << "enqueue diverged in window " << w;
     }
     if (rng.NextBool(0.2)) {
-      // Refresh-instruction traffic (no done callback: callbacks pin the
-      // shard horizon by design and are exercised at the System level).
-      const PhysAddr addr = (rng.NextBelow(serial.mapper().total_lines()) * kLineBytes);
+      // Refresh-instruction traffic.
+      const PhysAddr addr = (rng.NextBelow(event.mapper().total_lines()) * kLineBytes);
       const bool auto_pre = rng.NextBool(0.5);
-      const bool a = serial.RefreshRow(addr, auto_pre, wstart);
-      const bool b = sharded.RefreshRow(addr, auto_pre, wstart);
+      const bool a = event.RefreshRow(addr, auto_pre, wstart);
+      const bool b = legacy.RefreshRow(addr, auto_pre, wstart);
       ASSERT_EQ(a, b) << "refresh-row diverged in window " << w;
     }
-    // Serial reference: visit exactly the event-driven wake cycles.
     for (Cycle t = wstart; t < wend;) {
-      serial.Tick(t);
-      t = std::max(t + 1, std::min(serial.NextWake(t), wend));
+      event.Tick(t);
+      t = std::max(t + 1, std::min(event.NextWake(t), wend));
     }
-    // Sharded path: an adaptive window chain over the same span.
-    const Cycle reached = sharded.AdvanceChannels(wstart, wend, params.max_workers);
-    ASSERT_EQ(reached, wend) << "shard window failed to engage at window " << w;
+    for (Cycle t = wstart; t < wend; ++t) {
+      legacy.Tick(t);
+    }
   }
 
-  const StatSet& a = serial.stats();
-  const StatSet& b = sharded.stats();
+  const auto is_wake_telemetry = [](const std::string& name) {
+    return name == "mc.wake_batches" || name == "mc.cmds_per_wake";
+  };
+  const StatSet& a = event.stats();
+  const StatSet& b = legacy.stats();
   ASSERT_EQ(a.counters().size(), b.counters().size());
   for (const auto& [name, counter] : a.counters()) {
-    if (name == "mc.sync_barriers" || name == "mc.shard_wait_cycles") {
-      continue;  // The shard machinery's own telemetry.
+    if (!is_wake_telemetry(name)) {
+      EXPECT_EQ(counter.value(), b.Get(name)) << "counter " << name;
     }
-    EXPECT_EQ(counter.value(), b.Get(name)) << "counter " << name;
   }
   ASSERT_EQ(a.histograms().size(), b.histograms().size());
   for (const auto& [name, histogram] : a.histograms()) {
-    if (name == "mc.shard_window") {
-      continue;  // Window-size telemetry exists only on the sharded side.
+    if (is_wake_telemetry(name)) {
+      continue;
     }
-    // Wake telemetry included: the shard replay loop visits exactly the
-    // serial path's scan cycles.
     const Histogram* other = b.GetHistogram(name);
     ASSERT_NE(other, nullptr) << "histogram " << name;
     EXPECT_TRUE(histogram == *other) << "histogram " << name;
   }
   for (uint32_t c = 0; c < params.channels; ++c) {
-    EXPECT_EQ(serial.device(c).stats().ToString(), sharded.device(c).stats().ToString())
+    EXPECT_EQ(event.device(c).stats().ToString(), legacy.device(c).stats().ToString())
         << "device stats diverged on channel " << c;
   }
-  EXPECT_EQ(serial.TotalFlipEvents(), sharded.TotalFlipEvents());
-  EXPECT_GT(b.Get("mc.sync_barriers"), 0u);
+  EXPECT_EQ(event.TotalFlipEvents(), legacy.TotalFlipEvents());
+  // The event path actually skipped: strictly fewer channel scans.
+  EXPECT_LT(a.Get("mc.wake_batches"), b.Get("mc.wake_batches"));
 }
 
 TEST(MultiChannelShard, TwoChannelFuzzMatchesSerial) {
-  RunShardFuzzCase({/*seed=*/1001, /*channels=*/2, /*ranks=*/1, /*per_bank_refresh=*/false});
-  RunShardFuzzCase({/*seed=*/1002, /*channels=*/2, /*ranks=*/2, /*per_bank_refresh=*/false});
+  RunChannelFuzzCase({/*seed=*/1001, /*channels=*/2, /*ranks=*/1, /*per_bank_refresh=*/false});
+  RunChannelFuzzCase({/*seed=*/1002, /*channels=*/2, /*ranks=*/2, /*per_bank_refresh=*/false});
 }
 
 TEST(MultiChannelShard, FourChannelFuzzMatchesSerial) {
-  RunShardFuzzCase({/*seed=*/2001, /*channels=*/4, /*ranks=*/1, /*per_bank_refresh=*/false});
-  RunShardFuzzCase({/*seed=*/2002, /*channels=*/4, /*ranks=*/2, /*per_bank_refresh=*/true});
+  RunChannelFuzzCase({/*seed=*/2001, /*channels=*/4, /*ranks=*/1, /*per_bank_refresh=*/false});
+  RunChannelFuzzCase({/*seed=*/2002, /*channels=*/4, /*ranks=*/2, /*per_bank_refresh=*/true});
 }
 
 TEST(MultiChannelShard, SingleChannelFuzzMatchesSerial) {
-  // channels == 1 still exercises AdvanceChannels (the bench drives it
-  // this way for its serial-vs-sharded A/B), just with one shard.
-  RunShardFuzzCase({/*seed=*/3001, /*channels=*/1, /*ranks=*/2, /*per_bank_refresh=*/true});
+  RunChannelFuzzCase({/*seed=*/3001, /*channels=*/1, /*ranks=*/2, /*per_bank_refresh=*/true});
 }
 
 TEST(MultiChannelShard, PerBankRefreshFuzzMatchesSerial) {
-  RunShardFuzzCase({/*seed=*/4001, /*channels=*/2, /*ranks=*/1, /*per_bank_refresh=*/true});
-}
-
-TEST(MultiChannelShard, WorkerSweepMatchesSerial) {
-  // Every member count the bench sweeps, on an 8-channel controller. The
-  // serial reference inside each case makes this transitively a
-  // bit-identity check across widths too.
-  for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    RunShardFuzzCase({/*seed=*/5000 + workers, /*channels=*/8, /*ranks=*/1,
-                      /*per_bank_refresh=*/false, /*max_workers=*/workers});
-  }
-}
-
-TEST(MultiChannelShard, ForcedWindowSizesMatchSerial) {
-  // min_window 1: even single-cycle coupling-free stretches go through
-  // the worker barrier. Huge: every window is replayed inline (the
-  // parallel-dispatch threshold is never met); the chain must still
-  // cover the full span and match serial bit-for-bit.
-  RunShardFuzzCase({/*seed=*/6001, /*channels=*/4, /*ranks=*/1, /*per_bank_refresh=*/false,
-                    /*max_workers=*/4, /*min_window=*/1});
-  RunShardFuzzCase({/*seed=*/6002, /*channels=*/4, /*ranks=*/1, /*per_bank_refresh=*/true,
-                    /*max_workers=*/4, /*min_window=*/1u << 20});
+  RunChannelFuzzCase({/*seed=*/4001, /*channels=*/2, /*ranks=*/1, /*per_bank_refresh=*/true});
 }
 
 TEST(MultiChannelShard, EightChannelPerBankRefreshFuzzMatchesSerial) {
-  RunShardFuzzCase({/*seed=*/7001, /*channels=*/8, /*ranks=*/2, /*per_bank_refresh=*/true,
-                    /*max_workers=*/8});
+  RunChannelFuzzCase({/*seed=*/7001, /*channels=*/8, /*ranks=*/2, /*per_bank_refresh=*/true});
 }
 
 TEST(MultiChannel, UndefendedAttackFlipsOnWideSystem) {

@@ -195,10 +195,11 @@ TEST(Sampler, NextSampleCycleAdvancesByPeriod) {
 // Builds a small attacking system so DRAM activity spans idle stretches,
 // then checks sampling lands on identical boundaries with idle-skipping
 // on and off.
-std::map<std::string, std::vector<double>> RunSampledSystem(bool skip_idle,
+std::map<std::string, std::vector<double>> RunSampledSystem(bool skip_idle, uint32_t channels,
                                                             std::vector<Cycle>* stamps) {
   SystemConfig config;
   config.cores = 1;
+  config.dram.org.channels = channels;
   config.skip_idle = skip_idle;
   config.telemetry.sample_every = 4096;
   System system(config);
@@ -212,65 +213,19 @@ std::map<std::string, std::vector<double>> RunSampledSystem(bool skip_idle,
 }
 
 TEST(Sampler, SkipIdleAndTickProduceIdenticalSeries) {
-  std::vector<Cycle> stamps_skip;
-  std::vector<Cycle> stamps_tick;
-  const auto series_skip = RunSampledSystem(true, &stamps_skip);
-  const auto series_tick = RunSampledSystem(false, &stamps_tick);
-  ASSERT_FALSE(stamps_skip.empty());
-  EXPECT_EQ(stamps_skip, stamps_tick);
-  for (size_t i = 0; i < stamps_skip.size(); ++i) {
-    EXPECT_EQ(stamps_skip[i], (i + 1) * 4096) << "sample off the k*period boundary";
-  }
-  EXPECT_EQ(series_skip, series_tick);
-}
-
-// Like RunSampledSystem, but multi-channel with the sharded channel
-// scheduler toggled: shard windows advance channels in coarse bursts, so
-// the sampler deadline must still cut the run at exact k*period
-// boundaries rather than wherever a shard window happens to end.
-std::map<std::string, std::vector<double>> RunShardedSampledSystem(bool shard_channels,
-                                                                   std::vector<Cycle>* stamps) {
-  SystemConfig config;
-  config.cores = 1;
-  config.dram.org.channels = 2;
-  config.mc.event_driven = true;
-  config.mc.shard_channels = shard_channels;
-  config.telemetry.sample_every = 4096;
-  System system(config);
-  auto tenants = SetupTenants(system, 1, 32);
-  system.AssignCore(0, tenants[0],
-                    MakeWorkload("stream", tenants[0], AddressSpace::BaseFor(tenants[0]),
-                                 32 * kPageBytes, 3000, 1));
-  system.RunFor(40000);
-  *stamps = system.sampler().stamps();
-  return system.sampler().AlignedSeries();
-}
-
-TEST(Sampler, ShardedChannelWindowsKeepDeadlineAlignment) {
-  std::vector<Cycle> stamps_sharded;
-  std::vector<Cycle> stamps_serial;
-  const auto series_sharded = RunShardedSampledSystem(true, &stamps_sharded);
-  const auto series_serial = RunShardedSampledSystem(false, &stamps_serial);
-  ASSERT_FALSE(stamps_sharded.empty());
-  for (size_t i = 0; i < stamps_sharded.size(); ++i) {
-    EXPECT_EQ(stamps_sharded[i], (i + 1) * 4096)
-        << "shard window dragged a sample off the k*period boundary";
-  }
-  // Sharding is a scheduling strategy, not a semantic change: stamps and
-  // every aligned series must match the serial scheduler bit-for-bit —
-  // except the scheduler's own self-telemetry, which measures the
-  // strategy rather than the simulated machine.
-  EXPECT_EQ(stamps_sharded, stamps_serial);
-  auto strip_scheduler_keys = [](std::map<std::string, std::vector<double>> series) {
-    for (const char* key :
-         {"mc.wake_batches", "mc.sync_barriers", "mc.shard_wait_cycles",
-          // The sampler flattens histograms into .count/.mean leaves.
-          "mc.shard_window.count", "mc.shard_window.mean"}) {
-      series.erase(key);
+  for (const uint32_t channels : {1u, 2u}) {
+    std::vector<Cycle> stamps_skip;
+    std::vector<Cycle> stamps_tick;
+    const auto series_skip = RunSampledSystem(true, channels, &stamps_skip);
+    const auto series_tick = RunSampledSystem(false, channels, &stamps_tick);
+    ASSERT_FALSE(stamps_skip.empty());
+    EXPECT_EQ(stamps_skip, stamps_tick) << channels << " channels";
+    for (size_t i = 0; i < stamps_skip.size(); ++i) {
+      EXPECT_EQ(stamps_skip[i], (i + 1) * 4096)
+          << "sample off the k*period boundary, " << channels << " channels";
     }
-    return series;
-  };
-  EXPECT_EQ(strip_scheduler_keys(series_sharded), strip_scheduler_keys(series_serial));
+    EXPECT_EQ(series_skip, series_tick) << channels << " channels";
+  }
 }
 
 // --- JSON model --------------------------------------------------------------

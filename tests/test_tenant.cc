@@ -206,26 +206,6 @@ TEST(CloudScenario, IsolationCentricPlacementDeniesEscapes) {
   EXPECT_EQ(result.tenants_hit, 0u);
 }
 
-TEST(CloudScenario, ShardedAdvanceMatchesSerialOnTrafficMix) {
-  // Channel sharding is a scheduling strategy: a cloud traffic-mix run —
-  // tenant streams, churn, flip harvesting — must produce the same
-  // result document whether the MC advances channels sharded or purely
-  // serially. (The shard path engages during the stretches where every
-  // stream core is stalled or idle.)
-  ScenarioSpec spec = CloudSpec("none");
-  spec.run_cycles = 400000;
-  ScenarioSpec serial_spec = spec;
-  serial_spec.system.mc.shard_channels = false;
-  const ScenarioResult sharded = RunScenario(spec);
-  const ScenarioResult serial = RunScenario(serial_spec);
-  EXPECT_EQ(sharded.tenant_map_fingerprint, serial.tenant_map_fingerprint);
-  std::ostringstream a;
-  std::ostringstream b;
-  ScenarioResultToJson(sharded).Dump(a);
-  ScenarioResultToJson(serial).Dump(b);
-  EXPECT_EQ(a.str(), b.str());
-}
-
 TEST(CloudScenario, ChurnDeterminismAcrossSerialAndThreaded) {
   ScenarioSpec spec = CloudSpec("none");
   spec.run_cycles = 200000;  // Determinism, not flips; keep it quick.

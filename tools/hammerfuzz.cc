@@ -7,13 +7,10 @@
 //    while the differential oracle (check/oracle.h) shadows every command
 //    with the naive reference models;
 //  * scenario cases build a full attack/defense System from the seed and
-//    run it FIVE ways — {skip-idle, tick-by-tick} × {serial, inside
-//    ParallelFor}, all with channel sharding off, plus a channel-sharded
-//    skip-idle run — each with a SystemOracle attached, then require all
+//    run it four ways — {skip-idle, tick-by-tick} × {serial, inside
+//    ParallelFor} — each with a SystemOracle attached, then require all
 //    oracles clean, all ScenarioResults identical, and all CollectStats()
-//    StatSets structurally equal (the shard machinery's own counters,
-//    mc.sync_barriers and mc.shard_wait_cycles, are the one permitted
-//    value difference);
+//    StatSets equal;
 //  * pattern cases build a random HammeringPattern and cross-check the
 //    builder's frame schedule and PatternHammerStream emission against
 //    the naive modular-arithmetic expander (check/pattern_ref.h).
@@ -154,10 +151,9 @@ struct VariantOutcome {
   std::string oracle_report;
 };
 
-VariantOutcome RunScenarioVariant(const FuzzCase& fuzz_case, bool skip_idle, bool shard) {
+VariantOutcome RunScenarioVariant(const FuzzCase& fuzz_case, bool skip_idle) {
   ScenarioSpec spec = SpecFromCase(fuzz_case);
   spec.system.skip_idle = skip_idle;
-  spec.system.mc.shard_channels = shard;
   OracleOptions oracle_options;
   oracle_options.break_reference_after = fuzz_case.inject_after;
   SystemOracle oracle(oracle_options);
@@ -205,14 +201,6 @@ std::string DiffResults(const ScenarioResult& a, const ScenarioResult& b) {
   return out.str();
 }
 
-// Counters that measure the channel-sharding machinery itself; their
-// names must still exist in every variant, but their values legitimately
-// differ between sharded and serial runs.
-bool IsShardTelemetry(const std::string& name) {
-  return name == "mc.sync_barriers" || name == "mc.shard_wait_cycles" ||
-         name == "mc.shard_window";
-}
-
 // First difference between two StatSets (keys and values), or "".
 std::string DiffStatSets(const StatSet& a, const StatSet& b) {
   if (a.counters().size() != b.counters().size() || a.gauges().size() != b.gauges().size() ||
@@ -223,9 +211,6 @@ std::string DiffStatSets(const StatSet& a, const StatSet& b) {
        it_a != a.counters().end(); ++it_a, ++it_b) {
     if (it_a->first != it_b->first) {
       return "counter name mismatch: " + it_a->first + " vs " + it_b->first;
-    }
-    if (IsShardTelemetry(it_a->first)) {
-      continue;
     }
     if (it_a->second.value() != it_b->second.value()) {
       return "counter " + it_a->first + ": " + std::to_string(it_a->second.value()) + " vs " +
@@ -247,9 +232,6 @@ std::string DiffStatSets(const StatSet& a, const StatSet& b) {
     if (it_a->first != it_b->first) {
       return "histogram name mismatch: " + it_a->first + " vs " + it_b->first;
     }
-    if (IsShardTelemetry(it_a->first)) {
-      continue;
-    }
     if (it_a->second != it_b->second) {
       return "histogram " + it_a->first + " differs";
     }
@@ -264,17 +246,11 @@ struct ScenarioCaseOutcome {
 
 ScenarioCaseOutcome RunScenarioCase(const FuzzCase& fuzz_case) {
   // Serial pair, then the same pair inside ParallelFor — the scenario
-  // runner's documented bit-identical contract under any worker count —
-  // and finally the channel-sharded skip-idle run against the serial one.
-  VariantOutcome serial_skip =
-      RunScenarioVariant(fuzz_case, /*skip_idle=*/true, /*shard=*/false);
-  VariantOutcome serial_tick =
-      RunScenarioVariant(fuzz_case, /*skip_idle=*/false, /*shard=*/false);
+  // runner's documented bit-identical contract under any worker count.
+  VariantOutcome serial_skip = RunScenarioVariant(fuzz_case, /*skip_idle=*/true);
+  VariantOutcome serial_tick = RunScenarioVariant(fuzz_case, /*skip_idle=*/false);
   VariantOutcome parallel[2];
-  ParallelFor(2, 2, [&](uint64_t i) {
-    parallel[i] = RunScenarioVariant(fuzz_case, i == 0, /*shard=*/false);
-  });
-  VariantOutcome sharded = RunScenarioVariant(fuzz_case, /*skip_idle=*/true, /*shard=*/true);
+  ParallelFor(2, 2, [&](uint64_t i) { parallel[i] = RunScenarioVariant(fuzz_case, i == 0); });
 
   std::ostringstream problems;
   const auto oracle_check = [&](const char* label, const VariantOutcome& v) {
@@ -286,7 +262,6 @@ ScenarioCaseOutcome RunScenarioCase(const FuzzCase& fuzz_case) {
   oracle_check("serial/tick", serial_tick);
   oracle_check("parallel/skip-idle", parallel[0]);
   oracle_check("parallel/tick", parallel[1]);
-  oracle_check("sharded/skip-idle", sharded);
 
   const auto pair_check = [&](const char* label, const VariantOutcome& a,
                               const VariantOutcome& b) {
@@ -304,7 +279,6 @@ ScenarioCaseOutcome RunScenarioCase(const FuzzCase& fuzz_case) {
   pair_check("skip-idle vs tick", serial_skip, serial_tick);
   pair_check("serial vs parallel (skip-idle)", serial_skip, parallel[0]);
   pair_check("serial vs parallel (tick)", serial_tick, parallel[1]);
-  pair_check("serial vs sharded (skip-idle)", serial_skip, sharded);
 
   ScenarioCaseOutcome outcome;
   outcome.failed = problems.tellp() != 0;
@@ -374,7 +348,7 @@ CaseOutcome RunCase(const FuzzCase& fuzz_case) {
     const ScenarioCaseOutcome scenario = RunScenarioCase(fuzz_case);
     outcome.failed = scenario.failed;
     outcome.report = scenario.report;
-    outcome.summary = "5-way differential";
+    outcome.summary = "4-way differential";
   }
   return outcome;
 }
