@@ -4,9 +4,14 @@
 // suite impractically slow; they do not correspond to a paper figure.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -189,15 +194,23 @@ void WriteThroughputReport() {
 // channel scans, interval-accounted core stalls) off and on, and writes
 // BENCH_busy.json. Command streams and stats are bit-identical between
 // the two modes (tests/test_event_scheduling.cc holds that line), so this
-// is a pure scheduling-overhead comparison. Two scenarios:
+// is a pure scheduling-overhead comparison. Three scenarios:
 //
 //  * mc_hammer_loop — the controller driven directly with a saturating
 //    same-bank row-conflict stream, the clock advanced by NextWake (event)
 //    or per-cycle (legacy). Isolates the busy-phase scheduler: every
 //    skipped cycle is a dead rescan the legacy mode pays for.
+//  * mc_dma_queue — the controller kept 64 requests deep with reads to
+//    random rows over all banks, the DMA-attack queue shape. Scheduling
+//    cost here grows with queue depth unless the FR-FCFS passes are
+//    indexed by bank; mc_hammer_loop's 2-deep queue cannot show that.
 //  * system_hammer — the whole-system version (hammer core + streaming
 //    co-runner); cores and caches dilute the MC win, so this bounds the
 //    end-to-end benefit the way E1 wall-clock does.
+//
+// Each series is the median of --repeats=N runs (default 1); the report
+// records N and the host's core count under "host", which the trend gate
+// ignores.
 
 ThroughputSample MeasureMcHammerLoop(bool event_driven, Cycle cycles) {
   McConfig config;
@@ -245,6 +258,37 @@ ThroughputSample MeasureMcHammerLoop(bool event_driven, Cycle cycles) {
   return sample;
 }
 
+ThroughputSample MeasureMcDmaQueue(bool event_driven, Cycle cycles, uint64_t* served) {
+  McConfig config;
+  config.event_driven = event_driven;
+  MemoryController mc(DramConfig::SimDefault(), config);
+  const uint64_t lines = mc.mapper().total_lines();
+  Rng rng(0xD3A);
+  uint64_t id = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (Cycle now = 0; now < cycles;) {
+    while (mc.QueuedRequests() < config.queue_capacity) {
+      MemRequest request;
+      request.id = ++id;
+      request.op = MemOp::kRead;
+      request.addr = rng.NextBelow(lines) * kLineBytes;
+      request.is_dma = true;
+      if (!mc.Enqueue(request, now)) {
+        break;
+      }
+    }
+    mc.Tick(now);
+    now = event_driven ? std::max(now + 1, mc.NextWake(now)) : now + 1;
+  }
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  *served = mc.stats().Get("mc.reads_done");
+  ThroughputSample sample;
+  sample.seconds = elapsed.count();
+  sample.cycles_per_sec =
+      sample.seconds > 0.0 ? static_cast<double>(cycles) / sample.seconds : 0.0;
+  return sample;
+}
+
 ThroughputSample MeasureHammerHeavy(bool event_driven, Cycle cycles) {
   SystemConfig config;
   config.cores = 2;
@@ -272,18 +316,55 @@ ThroughputSample MeasureHammerHeavy(bool event_driven, Cycle cycles) {
   return sample;
 }
 
-void WriteBusyReport() {
-  const Cycle mc_cycles = std::min<Cycle>(8000000, BenchSmokeCap());
-  const ThroughputSample mc_off = MeasureMcHammerLoop(false, mc_cycles);
-  const ThroughputSample mc_on = MeasureMcHammerLoop(true, mc_cycles);
-  const double mc_speedup =
-      mc_off.cycles_per_sec > 0.0 ? mc_on.cycles_per_sec / mc_off.cycles_per_sec : 0.0;
+// The run with the median wall time among `repeats` runs of `measure`.
+ThroughputSample MedianOf(int repeats, const std::function<ThroughputSample()>& measure) {
+  std::vector<ThroughputSample> samples;
+  for (int i = 0; i < repeats; ++i) {
+    samples.push_back(measure());
+  }
+  std::sort(samples.begin(), samples.end(),
+            [](const ThroughputSample& a, const ThroughputSample& b) {
+              return a.seconds < b.seconds;
+            });
+  return samples[samples.size() / 2];
+}
 
-  const Cycle sys_cycles = std::min<Cycle>(4000000, BenchSmokeCap());
-  const ThroughputSample sys_off = MeasureHammerHeavy(false, sys_cycles);
-  const ThroughputSample sys_on = MeasureHammerHeavy(true, sys_cycles);
-  const double sys_speedup =
-      sys_off.cycles_per_sec > 0.0 ? sys_on.cycles_per_sec / sys_off.cycles_per_sec : 0.0;
+struct BusySeries {
+  Cycle cycles = 0;
+  ThroughputSample off;
+  ThroughputSample on;
+  double speedup() const {
+    return off.cycles_per_sec > 0.0 ? on.cycles_per_sec / off.cycles_per_sec : 0.0;
+  }
+};
+
+BusySeries MeasureBusySeries(int repeats, Cycle cycles,
+                             const std::function<ThroughputSample(bool, Cycle)>& measure) {
+  BusySeries series;
+  series.cycles = cycles;
+  series.off = MedianOf(repeats, [&] { return measure(false, cycles); });
+  series.on = MedianOf(repeats, [&] { return measure(true, cycles); });
+  return series;
+}
+
+void WriteBusyReport(int repeats) {
+  const BusySeries mc = MeasureBusySeries(repeats, std::min<Cycle>(8000000, BenchSmokeCap()),
+                                          MeasureMcHammerLoop);
+  uint64_t dma_served_off = 0;
+  uint64_t dma_served_on = 0;
+  const BusySeries dma = MeasureBusySeries(
+      repeats, std::min<Cycle>(400000, BenchSmokeCap()), [&](bool event_driven, Cycle cycles) {
+        return MeasureMcDmaQueue(event_driven, cycles,
+                                 event_driven ? &dma_served_on : &dma_served_off);
+      });
+  if (dma_served_off != dma_served_on) {
+    std::fprintf(stderr, "mc_dma_queue: event-driven served %llu requests, per-cycle %llu\n",
+                 static_cast<unsigned long long>(dma_served_on),
+                 static_cast<unsigned long long>(dma_served_off));
+    std::exit(1);
+  }
+  const BusySeries sys = MeasureBusySeries(repeats, std::min<Cycle>(4000000, BenchSmokeCap()),
+                                           MeasureHammerHeavy);
 
   FILE* out = std::fopen("BENCH_busy.json", "w");
   if (out == nullptr) {
@@ -297,32 +378,55 @@ void WriteBusyReport() {
                "  \"event_driven_off\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
                "  \"event_driven_on\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
                "  \"speedup\": %.2f,\n"
+               "  \"mc_dma_queue\": {\n"
+               "    \"simulated_cycles\": %llu,\n"
+               "    \"requests_served\": %llu,\n"
+               "    \"event_driven_off\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
+               "    \"event_driven_on\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
+               "    \"speedup\": %.2f\n"
+               "  },\n"
                "  \"system_hammer\": {\n"
                "    \"simulated_cycles\": %llu,\n"
                "    \"event_driven_off\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
                "    \"event_driven_on\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
                "    \"speedup\": %.2f\n"
-               "  }\n"
+               "  },\n"
+               "  \"host\": {\"cores\": %u, \"repeats\": %d}\n"
                "}\n",
-               static_cast<unsigned long long>(mc_cycles), mc_off.seconds, mc_off.cycles_per_sec,
-               mc_on.seconds, mc_on.cycles_per_sec, mc_speedup,
-               static_cast<unsigned long long>(sys_cycles), sys_off.seconds,
-               sys_off.cycles_per_sec, sys_on.seconds, sys_on.cycles_per_sec, sys_speedup);
+               static_cast<unsigned long long>(mc.cycles), mc.off.seconds,
+               mc.off.cycles_per_sec, mc.on.seconds, mc.on.cycles_per_sec, mc.speedup(),
+               static_cast<unsigned long long>(dma.cycles),
+               static_cast<unsigned long long>(dma_served_on), dma.off.seconds,
+               dma.off.cycles_per_sec, dma.on.seconds, dma.on.cycles_per_sec, dma.speedup(),
+               static_cast<unsigned long long>(sys.cycles), sys.off.seconds,
+               sys.off.cycles_per_sec, sys.on.seconds, sys.on.cycles_per_sec, sys.speedup(),
+               std::thread::hardware_concurrency(), repeats);
   std::fclose(out);
-  std::printf("MC/HammerLoop: %llu cycles — event off %.0f cyc/s, event on %.0f cyc/s (%.1fx)\n",
-              static_cast<unsigned long long>(mc_cycles), mc_off.cycles_per_sec,
-              mc_on.cycles_per_sec, mc_speedup);
-  std::printf("System/HammerHeavy: %llu cycles — event off %.0f cyc/s, event on %.0f cyc/s "
-              "(%.1fx)\n",
-              static_cast<unsigned long long>(sys_cycles), sys_off.cycles_per_sec,
-              sys_on.cycles_per_sec, sys_speedup);
-  std::printf("wrote BENCH_busy.json\n");
+  for (const auto& [name, series] : {std::pair{"MC/HammerLoop", &mc}, std::pair{"MC/DmaQueue", &dma},
+                                     std::pair{"System/HammerHeavy", &sys}}) {
+    std::printf("%s: %llu cycles — event off %.0f cyc/s, event on %.0f cyc/s (%.1fx)\n", name,
+                static_cast<unsigned long long>(series->cycles), series->off.cycles_per_sec,
+                series->on.cycles_per_sec, series->speedup());
+  }
+  std::printf("wrote BENCH_busy.json (median of %d run(s) per series)\n", repeats);
 }
 
 }  // namespace
 }  // namespace ht
 
 int main(int argc, char** argv) {
+  // --repeats=N (ours, stripped before google-benchmark parses the rest):
+  // each busy-report series is the median of N runs.
+  int repeats = 1;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
+      repeats = std::max(1, std::atoi(argv[i] + 10));
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
@@ -330,6 +434,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   ht::WriteThroughputReport();
-  ht::WriteBusyReport();
+  ht::WriteBusyReport(repeats);
   return 0;
 }

@@ -33,6 +33,9 @@ std::string FuzzCase::ToSeedLine() const {
     out << " steps=" << steps;
   }
   out << " mask=0x" << std::hex << feature_mask << std::dec << " inject=" << inject_after;
+  if (inject_pick_after != 0) {
+    out << " inject_pick=" << inject_pick_after;
+  }
   return out.str();
 }
 
@@ -77,6 +80,8 @@ std::optional<FuzzCase> ParseSeedLine(const std::string& line) {
       fuzz_case.feature_mask = static_cast<uint32_t>(parsed);
     } else if (key == "inject") {
       fuzz_case.inject_after = parsed;
+    } else if (key == "inject_pick") {
+      fuzz_case.inject_pick_after = parsed;
     } else {
       return std::nullopt;
     }

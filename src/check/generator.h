@@ -14,6 +14,8 @@
 // unused by pattern cases, kept so all kinds share one line shape);
 // `inject` != 0 arms the oracle's fault injection after that many
 // commands — recorded so an injected-divergence repro replays by itself.
+// Scenario lines may add `inject_pick=N` (written only when non-zero):
+// the FR-FCFS reference breaks after N checked scheduling decisions.
 #ifndef HAMMERTIME_SRC_CHECK_GENERATOR_H_
 #define HAMMERTIME_SRC_CHECK_GENERATOR_H_
 
@@ -52,6 +54,7 @@ struct FuzzCase {
   Cycle cycles = 120000;    // Scenario cases: run length.
   uint32_t feature_mask = 0;
   uint64_t inject_after = 0;  // Oracle fault injection (0 = off).
+  uint64_t inject_pick_after = 0;  // Scheduler-reference fault injection.
 
   std::string ToSeedLine() const;
 };

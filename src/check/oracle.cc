@@ -242,6 +242,9 @@ void SystemOracle::Attach(System& system) {
         std::make_unique<DeviceOracle>(mc.device(c), &mc.act_counter(c), options_));
     mc.device(c).set_check_observer(channels_.back().get());
   }
+  scheduler_ = std::make_unique<SchedulerOracle>(mc, options_.break_scheduler_after,
+                                                 options_.max_divergences);
+  mc.set_check_observer(scheduler_.get());
 }
 
 void SystemOracle::Detach(System& system) {
@@ -249,6 +252,7 @@ void SystemOracle::Detach(System& system) {
   for (uint32_t c = 0; c < mc.channels(); ++c) {
     mc.device(c).set_check_observer(nullptr);
   }
+  mc.set_check_observer(nullptr);
 }
 
 void SystemOracle::FinalCheck() {
@@ -263,7 +267,7 @@ bool SystemOracle::ok() const {
       return false;
     }
   }
-  return true;
+  return scheduler_ == nullptr || scheduler_->ok();
 }
 
 uint64_t SystemOracle::commands_observed() const {
@@ -274,6 +278,10 @@ uint64_t SystemOracle::commands_observed() const {
   return total;
 }
 
+uint64_t SystemOracle::decisions_checked() const {
+  return scheduler_ == nullptr ? 0 : scheduler_->decisions_checked();
+}
+
 std::string SystemOracle::Report() const {
   std::string out;
   for (const auto& channel : channels_) {
@@ -281,6 +289,9 @@ std::string SystemOracle::Report() const {
       out += "\n";
     }
     out += channel->Report();
+  }
+  if (scheduler_ != nullptr) {
+    out += (out.empty() ? "" : "\n") + scheduler_->Report();
   }
   return out;
 }

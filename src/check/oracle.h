@@ -7,7 +7,9 @@
 //  * per-bank open-row state after any accepted command,
 //  * which rows flip (victim + aggressor, in device order) on an ACT,
 //  * which rows a REF / REFsb / REF_NEIGHBORS repairs, or
-//  * the MC ACT counter's count / interrupt totals (system runs).
+//  * the MC ACT counter's count / interrupt totals (system runs), or
+//  * which request the FR-FCFS scheduler serves with which command, or
+//    when it retries (system runs; see check/frfcfs_ref.h).
 //
 // TRR caveat: the in-DRAM tracker samples ACTs through its own RNG, so
 // the oracle does not predict *which* aggressors TRR services; with TRR
@@ -23,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "check/frfcfs_ref.h"
 #include "check/reference.h"
 #include "dram/check_hooks.h"
 #include "dram/device.h"
@@ -43,6 +46,10 @@ struct OracleOptions {
   // observed commands the reference model stops recording PRE / PREA, so
   // its bank state drifts and the next ACT (or REF) must diverge. 0 = off.
   uint64_t break_reference_after = 0;
+  // The same for the FR-FCFS reference (system runs): after this many
+  // checked scheduling decisions its pass 3 ignores older requests that
+  // want the open row, so a later PRE pick must diverge. 0 = off.
+  uint64_t break_scheduler_after = 0;
   // Stop recording (but keep counting) divergences past this many.
   size_t max_divergences = 16;
 };
@@ -113,8 +120,9 @@ class DeviceOracle final : public DeviceCheckObserver {
 };
 
 // Attaches one DeviceOracle per channel of a System (device + that
-// channel's ACT counter). The System must outlive the oracle's use; call
-// FinalCheck() after the run, before the System is destroyed.
+// channel's ACT counter) and a SchedulerOracle to its memory controller.
+// The System must outlive the oracle's use; call FinalCheck() after the
+// run, before the System is destroyed.
 class SystemOracle {
  public:
   explicit SystemOracle(OracleOptions options = {}) : options_(options) {}
@@ -125,11 +133,13 @@ class SystemOracle {
 
   bool ok() const;
   uint64_t commands_observed() const;
+  uint64_t decisions_checked() const;
   std::string Report() const;
 
  private:
   OracleOptions options_;
   std::vector<std::unique_ptr<DeviceOracle>> channels_;
+  std::unique_ptr<SchedulerOracle> scheduler_;
 };
 
 }  // namespace ht

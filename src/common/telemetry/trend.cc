@@ -116,7 +116,8 @@ MetricClass ClassifyMetric(std::string_view key) {
   }
   // The profiler's own section measures the harness, not the simulation;
   // host-shape keys describe the machine the report was made on.
-  if (key == "profile" || key == "pool_threads" || key == "threads" || key == "wall_clock") {
+  if (key == "profile" || key == "host" || key == "pool_threads" || key == "threads" ||
+      key == "wall_clock") {
     return MetricClass::kIgnored;
   }
   if (Contains(key, "speedup")) {

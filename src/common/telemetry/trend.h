@@ -17,9 +17,9 @@
 //     one-sided the other way (regression = share shrank).
 //   * speedup ratios ("*speedup*") — direct one-sided ratio:
 //     current >= baseline / tolerance.
-//   * host-shape keys ("pool_threads", "threads") and the whole
-//     `profile` subtree — skipped; they describe the machine or the
-//     profiler's own nondeterministic measurements.
+//   * host-shape keys ("pool_threads", "threads"), the whole `host`
+//     subtree and the whole `profile` subtree — skipped; they describe
+//     the machine or the profiler's own nondeterministic measurements.
 //
 // InjectSlowdown manufactures a deterministic regression (the WILL_FAIL
 // ctest case): it scales the wall-clock leaves of one subtree up and its

@@ -1,6 +1,8 @@
 #include "mc/controller.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/log.h"
 #include "common/telemetry/profile.h"
@@ -9,6 +11,18 @@ namespace ht {
 
 MemoryController::MemoryController(const DramConfig& dram_config, const McConfig& mc_config)
     : dram_config_(dram_config), config_(mc_config), mapper_(dram_config.org, mc_config.scheme) {
+  const uint64_t slots = uint64_t{dram_config_.org.ranks} * dram_config_.org.banks;
+  if (slots == 0 || slots > 64) {
+    // The draining, claimed-bank and occupied-bank sets are 64-bit masks
+    // indexed rank * banks + bank; a larger organization would shift past
+    // bit 63 (undefined behaviour), so refuse it outright.
+    std::fprintf(stderr,
+                 "MemoryController: unsupported organization: ranks x banks = %u x %u; "
+                 "need 1 <= ranks x banks <= 64\n",
+                 dram_config_.org.ranks, dram_config_.org.banks);
+    std::abort();
+  }
+  rank_bank_mask_ = dram_config_.org.banks == 64 ? ~0ull : (1ull << dram_config_.org.banks) - 1;
   const uint32_t channels = dram_config_.org.channels;
   devices_.reserve(channels);
   act_counters_.reserve(channels);
@@ -17,10 +31,16 @@ MemoryController::MemoryController(const DramConfig& dram_config, const McConfig
   for (uint32_t c = 0; c < channels; ++c) {
     devices_.push_back(std::make_unique<DramDevice>(dram_config_, c));
     act_counters_.push_back(std::make_unique<ActCounter>(c, config_.act_counter));
+    ChannelState& channel = channels_[c];
+    channel.slab.resize(config_.queue_capacity);
+    for (uint32_t i = 0; i < config_.queue_capacity; ++i) {
+      channel.slab[i].next = i + 1 < config_.queue_capacity ? i + 1 : kNil;
+    }
+    channel.free_head = config_.queue_capacity > 0 ? 0 : kNil;
+    channel.banks.resize(slots);
     if (per_bank) {
       // One due-clock per (rank, bank), staggered so REFsb commands spread
       // evenly instead of bursting.
-      const uint32_t slots = dram_config_.org.ranks * dram_config_.org.banks;
       channels_[c].ref_due.resize(slots);
       for (uint32_t s = 0; s < slots; ++s) {
         channels_[c].ref_due[s] =
@@ -69,7 +89,7 @@ uint32_t MemoryController::EffectiveBlast() const {
 bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
   const DdrCoord coord = mapper_.Map(request.addr);
   ChannelState& channel = channels_[coord.channel];
-  if (channel.queue.size() >= config_.queue_capacity) {
+  if (channel.queued >= config_.queue_capacity) {
     c_enqueue_rejected_->Increment();
     return false;
   }
@@ -82,9 +102,28 @@ bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
       c_domain_group_violations_->Increment();
     }
   }
-  MemRequest stamped = request;
-  stamped.enqueue_cycle = now;
-  channel.queue.push_back({stamped, coord, false});
+  const uint32_t index = channel.free_head;
+  PendingRequest& entry = channel.slab[index];
+  channel.free_head = entry.next;
+  const uint32_t slot = coord.rank * dram_config_.org.banks + coord.bank;
+  BankQueue& bank = channel.banks[slot];
+  entry.seq = channel.next_seq++;
+  entry.next = kNil;
+  entry.prev = bank.tail;
+  entry.counted = false;
+  entry.coord = coord;
+  entry.request = request;
+  entry.request.enqueue_cycle = now;
+  (bank.tail == kNil ? bank.head : channel.slab[bank.tail].next) = index;
+  bank.tail = index;
+  // The newcomer is the bank's youngest, so it is the memo's oldest hit
+  // of its kind only if there was none.
+  uint32_t& hit = bank.hits[request.op == MemOp::kRead ? 0 : 1];
+  if (bank.hit_row == coord.row && hit == kNil) {
+    hit = index;
+  }
+  channel.occupied |= 1ull << slot;
+  ++channel.queued;
   channel.next_sched = 0;
   channel.next_try = 0;
   c_requests_->Increment();
@@ -381,7 +420,7 @@ bool MemoryController::TryInternalOps(uint32_t channel_index, Cycle now, Cycle& 
 
 bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& retry) {
   ChannelState& channel = channels_[channel_index];
-  if (channel.queue.empty()) {
+  if (channel.occupied == 0) {
     return false;  // retry stays kNeverCycle: an enqueue resets the memo.
   }
   if (now < channel.next_sched) {
@@ -389,159 +428,214 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
     // (every mutation resets next_sched) and no blocked command becomes
     // legal before next_sched, so the scan below would fail identically.
     retry = channel.next_sched;
+    ReportDecision(channel_index, now, {.memoized = true, .retry = retry});
     return false;
   }
   DramDevice& device = *devices_[channel_index];
-  // Earliest cycle any candidate blocked purely by timing becomes legal.
-  Cycle block = kNeverCycle;
-  // A throttled candidate was seen: ActAllowedAt counts throttle events
-  // per scanned cycle, so the scan must rerun every cycle to stay exact.
-  bool unstable = false;
+  std::vector<PendingRequest>& slab = channel.slab;
+  const uint32_t banks = dram_config_.org.banks;
 
-  // Ranks (or, in per-bank mode, individual banks) with an overdue REF
-  // are draining: starting new row activity there would starve the
-  // refresh manager (and eventually retention).
+  // Slots (rank * banks + bank) with an overdue REF are draining:
+  // starting new row activity there would starve the refresh manager (and
+  // eventually retention). Without per-bank refresh a due rank drains
+  // every bank it has.
   const bool per_bank = dram_config_.retention.per_bank_refresh;
   uint64_t draining = 0;
-  for (uint32_t slot = 0; slot < channel.ref_due.size(); ++slot) {
-    if (now >= channel.ref_due[slot]) {
-      draining |= 1ull << slot;
+  for (uint32_t i = 0; i < channel.ref_due.size(); ++i) {
+    if (now >= channel.ref_due[i]) {
+      draining |= per_bank ? 1ull << i : rank_bank_mask_ << (i * banks);
     }
   }
-  const uint32_t banks = dram_config_.org.banks;
-  const auto rank_draining = [draining, per_bank, banks](uint32_t rank) {
-    if (!per_bank) {
-      return (draining & (1ull << rank)) != 0;
-    }
-    // In per-bank mode a draining bank does not drain its whole rank.
-    return false;
-  };
-  const auto bank_draining = [draining, per_bank, banks](uint32_t rank, uint32_t bank) {
-    if (!per_bank) {
-      return false;
-    }
-    return (draining & (1ull << (rank * banks + bank))) != 0;
-  };
-
-  // Pass 1 (FR): oldest row-hit whose RD/WR is legal now.
-  for (size_t i = 0; i < channel.queue.size(); ++i) {
-    PendingRequest& pending = channel.queue[i];
-    const auto open_row = device.OpenRow(pending.coord.rank, pending.coord.bank);
-    if (rank_draining(pending.coord.rank) ||
-        bank_draining(pending.coord.rank, pending.coord.bank) || !open_row.has_value() ||
-        *open_row != pending.coord.row) {
-      continue;
-    }
-    const bool ap = !config_.open_page;  // Closed-page: auto-precharge.
-    const DdrCommand cmd = pending.request.op == MemOp::kRead
-                               ? DdrCommand::Rd(pending.coord.rank, pending.coord.bank,
-                                                pending.coord.column, ap)
-                               : DdrCommand::Wr(pending.coord.rank, pending.coord.bank,
-                                                pending.coord.column, ap);
-    if (device.Check(cmd, now) == TimingVerdict::kOk) {
-      device.Issue(cmd, now);
-      if (!pending.counted) {
-        c_row_hits_->Increment();  // Served without its own ACT.
-      }
-      IssueRequestAccess(channel_index, i, now);
-      channel.next_sched = 0;
-      return true;
-    }
-    block = std::min(block, device.EarliestCycle(cmd));
+  uint64_t open = 0;
+  for (uint32_t rank = 0; rank < dram_config_.org.ranks; ++rank) {
+    open |= device.OpenBankMask(rank) << (rank * banks);
   }
+  const uint64_t ready = channel.occupied & ~draining;
 
-  // Pass 2 (FCFS): oldest request to a closed bank — ACT (unless throttled).
-  // Track banks already claimed by an older request so a younger request
-  // cannot steal the bank.
-  uint64_t claimed_banks = 0;
-  for (size_t i = 0; i < channel.queue.size(); ++i) {
-    PendingRequest& pending = channel.queue[i];
-    const uint64_t bank_bit = 1ULL
-                              << (pending.coord.rank * dram_config_.org.banks + pending.coord.bank);
-    if ((claimed_banks & bank_bit) != 0) {
-      continue;
+  // The pick so far: the smallest-seq candidate whose command is legal.
+  uint32_t pick = kNil;
+  uint64_t pick_seq = ~0ull;
+  DdrCommand pick_cmd;
+  // Earliest cycle any candidate blocked purely by timing becomes legal.
+  Cycle block = kNeverCycle;
+
+  // Pass 1 (FR): oldest row hit whose RD/WR is legal now.
+  const bool ap = !config_.open_page;  // Closed-page: auto-precharge.
+  for (uint64_t m = ready & open; m != 0; m &= m - 1) {
+    const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(m));
+    const uint32_t rank = slot / banks;
+    const uint32_t bank = slot % banks;
+    const uint32_t open_row = *device.OpenRow(rank, bank);
+    BankQueue& queue = channel.banks[slot];
+    if (queue.hit_row != open_row) {
+      FindHits(channel, queue, open_row);
     }
-    claimed_banks |= bank_bit;
-    if (rank_draining(pending.coord.rank) ||
-        bank_draining(pending.coord.rank, pending.coord.bank)) {
-      continue;
-    }
-    const auto open_row = device.OpenRow(pending.coord.rank, pending.coord.bank);
-    if (open_row.has_value()) {
-      continue;  // Handled in pass 3.
-    }
-    if (mitigation_ != nullptr) {
-      const Cycle allowed = mitigation_->ActAllowedAt(pending.coord.rank, pending.coord.bank,
-                                                      pending.coord.row, now);
-      if (allowed > now) {
-        c_throttle_stalls_->Increment();
-        unstable = true;
+    for (int k = 0; k < 2; ++k) {
+      const uint32_t hit = queue.hits[k];
+      if (hit == kNil || slab[hit].seq > pick_seq) {
         continue;
       }
+      const PendingRequest& pending = slab[hit];
+      const DdrCommand cmd = k == 0 ? DdrCommand::Rd(rank, bank, pending.coord.column, ap)
+                                    : DdrCommand::Wr(rank, bank, pending.coord.column, ap);
+      if (device.Check(cmd, now) == TimingVerdict::kOk) {
+        pick = hit;
+        pick_seq = pending.seq;
+        pick_cmd = cmd;
+      } else {
+        block = std::min(block, device.EarliestCycle(cmd));
+      }
+    }
+  }
+  if (pick != kNil) {
+    ReportDecision(channel_index, now,
+                   {.issued = true, .command = pick_cmd.type, .seq = pick_seq});
+    device.Issue(pick_cmd, now);
+    if (!slab[pick].counted) {
+      c_row_hits_->Increment();  // Served without its own ACT.
+    }
+    IssueRequestAccess(channel_index, pick, now);
+    channel.next_sched = 0;
+    return true;
+  }
+
+  // Pass 2 (FCFS): a closed bank may be activated only for its oldest
+  // request (its list head), so a younger request cannot steal the bank.
+  // Heads are tried oldest first, so the throttle is asked about exactly
+  // the heads an age-ordered scan reaches.
+  uint32_t heads[64];
+  uint32_t head_count = 0;
+  for (uint64_t m = ready & ~open; m != 0; m &= m - 1) {
+    const uint32_t head = channel.banks[__builtin_ctzll(m)].head;
+    uint32_t k = head_count++;
+    for (; k > 0 && slab[heads[k - 1]].seq > slab[head].seq; --k) {
+      heads[k] = heads[k - 1];
+    }
+    heads[k] = head;
+  }
+  // ActAllowedAt counts throttle events per scanned cycle, so a scan that
+  // saw a throttled head must rerun every cycle to stay exact.
+  uint64_t throttle_stalls = 0;
+  for (uint32_t k = 0; k < head_count; ++k) {
+    const PendingRequest& pending = slab[heads[k]];
+    if (mitigation_ != nullptr &&
+        mitigation_->ActAllowedAt(pending.coord.rank, pending.coord.bank, pending.coord.row,
+                                  now) > now) {
+      c_throttle_stalls_->Increment();
+      ++throttle_stalls;
+      continue;
     }
     const DdrCommand act =
         DdrCommand::Act(pending.coord.rank, pending.coord.bank, pending.coord.row);
     if (device.Check(act, now) == TimingVerdict::kOk) {
-      device.Issue(act, now);
-      if (!pending.counted) {
-        c_row_misses_->Increment();
-        pending.counted = true;
-      }
-      act_counters_[channel_index]->OnActivate(pending.request.addr, pending.request.domain,
-                                               pending.request.is_dma, now);
-      NotifyMitigationActivate(pending.coord, now);
-      channel.next_sched = 0;
-      return true;
+      pick = heads[k];
+      pick_seq = pending.seq;
+      pick_cmd = act;
+      break;
     }
     block = std::min(block, device.EarliestCycle(act));
   }
+  if (pick != kNil) {
+    ReportDecision(channel_index, now,
+                   {.issued = true,
+                    .command = pick_cmd.type,
+                    .seq = pick_seq,
+                    .throttle_stalls = throttle_stalls});
+    PendingRequest& pending = slab[pick];
+    device.Issue(pick_cmd, now);
+    if (!pending.counted) {
+      c_row_misses_->Increment();
+      pending.counted = true;
+    }
+    act_counters_[channel_index]->OnActivate(pending.request.addr, pending.request.domain,
+                                             pending.request.is_dma, now);
+    NotifyMitigationActivate(pending.coord, now);
+    channel.next_sched = 0;
+    return true;
+  }
 
-  // Pass 3: oldest conflicting request — PRE the bank if no older request
-  // still wants the open row.
-  for (size_t i = 0; i < channel.queue.size(); ++i) {
-    PendingRequest& pending = channel.queue[i];
-    const auto open_row = device.OpenRow(pending.coord.rank, pending.coord.bank);
-    if (!open_row.has_value() || *open_row == pending.coord.row) {
+  // Pass 3: PRE an open bank for its oldest request when that request
+  // misses the open row. A bank whose head wants the open row is left
+  // open: no older request may be starved by the PRE. Draining slots are
+  // not skipped; closing rows is what draining wants.
+  for (uint64_t m = channel.occupied & open; m != 0; m &= m - 1) {
+    const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(m));
+    const PendingRequest& head = slab[channel.banks[slot].head];
+    if (head.seq > pick_seq || head.coord.row == *device.OpenRow(slot / banks, slot % banks)) {
       continue;
     }
-    bool older_wants_open_row = false;
-    for (size_t j = 0; j < i; ++j) {
-      const PendingRequest& other = channel.queue[j];
-      if (other.coord.rank == pending.coord.rank && other.coord.bank == pending.coord.bank &&
-          other.coord.row == *open_row) {
-        older_wants_open_row = true;
-        break;
-      }
-    }
-    if (older_wants_open_row) {
-      continue;
-    }
-    const DdrCommand pre = DdrCommand::Pre(pending.coord.rank, pending.coord.bank);
+    const DdrCommand pre = DdrCommand::Pre(slot / banks, slot % banks);
     if (device.Check(pre, now) == TimingVerdict::kOk) {
-      device.Issue(pre, now);
-      if (!pending.counted) {
-        c_row_conflicts_->Increment();
-        pending.counted = true;
-      }
-      channel.next_sched = 0;
-      return true;
+      pick = channel.banks[slot].head;
+      pick_seq = head.seq;
+      pick_cmd = pre;
+    } else {
+      block = std::min(block, device.EarliestCycle(pre));
     }
-    block = std::min(block, device.EarliestCycle(pre));
+  }
+  if (pick != kNil) {
+    ReportDecision(channel_index, now,
+                   {.issued = true,
+                    .command = pick_cmd.type,
+                    .seq = pick_seq,
+                    .throttle_stalls = throttle_stalls});
+    device.Issue(pick_cmd, now);
+    if (!slab[pick].counted) {
+      c_row_conflicts_->Increment();
+      slab[pick].counted = true;
+    }
+    channel.next_sched = 0;
+    return true;
   }
   // Nothing issued. Candidates filtered for non-timing reasons (draining
-  // ranks, claimed banks, an older request pinning an open row) can only
-  // unblock via a state change, which resets next_sched; timing-blocked
+  // slots, claimed banks, a head pinning its open row) can only unblock
+  // via a state change, which resets next_sched; timing-blocked
   // candidates unblock at `block`.
-  channel.next_sched = unstable ? now + 1 : std::max(block, now + 1);
+  channel.next_sched = throttle_stalls != 0 ? now + 1 : std::max(block, now + 1);
   retry = channel.next_sched;
+  ReportDecision(channel_index, now, {.retry = retry, .throttle_stalls = throttle_stalls});
   return false;
 }
 
-void MemoryController::IssueRequestAccess(uint32_t channel_index, size_t queue_index, Cycle now) {
+void MemoryController::FindHits(const ChannelState& channel, BankQueue& bank, uint32_t row) {
+  bank.hit_row = row;
+  bank.hits[0] = kNil;
+  bank.hits[1] = kNil;
+  for (uint32_t i = bank.head; i != kNil; i = channel.slab[i].next) {
+    const PendingRequest& pending = channel.slab[i];
+    if (pending.coord.row != row) {
+      continue;
+    }
+    uint32_t& hit = bank.hits[pending.request.op == MemOp::kRead ? 0 : 1];
+    if (hit == kNil) {
+      hit = i;
+      if (bank.hits[0] != kNil && bank.hits[1] != kNil) {
+        return;
+      }
+    }
+  }
+}
+
+void MemoryController::IssueRequestAccess(uint32_t channel_index, uint32_t index, Cycle now) {
   ChannelState& channel = channels_[channel_index];
   DramDevice& device = *devices_[channel_index];
-  PendingRequest pending = std::move(channel.queue[queue_index]);
-  channel.queue.erase(channel.queue.begin() + static_cast<ptrdiff_t>(queue_index));
+  PendingRequest& entry = channel.slab[index];
+  // Copy out before the entry returns to the free list: the response
+  // handler below may enqueue into it.
+  const PendingRequest pending = entry;
+  const uint32_t slot = pending.coord.rank * dram_config_.org.banks + pending.coord.bank;
+  BankQueue& bank = channel.banks[slot];
+  (entry.prev == kNil ? bank.head : channel.slab[entry.prev].next) = entry.next;
+  (entry.next == kNil ? bank.tail : channel.slab[entry.next].prev) = entry.prev;
+  if (bank.hits[pending.request.op == MemOp::kRead ? 0 : 1] == index) {
+    bank.hit_row = kNil;  // The memo's hit left; recompute on the next scan.
+  }
+  if (bank.head == kNil) {
+    channel.occupied &= ~(1ull << slot);
+  }
+  entry.next = channel.free_head;
+  channel.free_head = index;
+  --channel.queued;
 
   MemResponse response;
   response.id = pending.request.id;
@@ -654,7 +748,7 @@ Cycle MemoryController::NextWake(Cycle now) const {
       continue;
     }
     // Legacy: queued work may retry a blocked command every cycle.
-    if (!channel.queue.empty() || !channel.internal_ops.empty()) {
+    if (channel.queued != 0 || !channel.internal_ops.empty()) {
       return now;
     }
     for (const Cycle due : channel.ref_due) {
@@ -675,7 +769,7 @@ void MemoryController::SyncTelemetry() {
 
 bool MemoryController::Idle() const {
   for (const ChannelState& channel : channels_) {
-    if (!channel.queue.empty() || !channel.internal_ops.empty() || !channel.in_flight.empty()) {
+    if (channel.queued != 0 || !channel.internal_ops.empty() || !channel.in_flight.empty()) {
       return false;
     }
   }
@@ -685,9 +779,23 @@ bool MemoryController::Idle() const {
 size_t MemoryController::QueuedRequests() const {
   size_t total = 0;
   for (const ChannelState& channel : channels_) {
-    total += channel.queue.size();
+    total += channel.queued;
   }
   return total;
+}
+
+void MemoryController::QueueInAgeOrder(uint32_t channel_index,
+                                       std::vector<QueuedRequest>* out) const {
+  const ChannelState& channel = channels_[channel_index];
+  out->clear();
+  for (const BankQueue& bank : channel.banks) {
+    for (uint32_t i = bank.head; i != kNil; i = channel.slab[i].next) {
+      const PendingRequest& pending = channel.slab[i];
+      out->push_back({pending.seq, pending.request.op, pending.coord});
+    }
+  }
+  std::sort(out->begin(), out->end(),
+            [](const QueuedRequest& a, const QueuedRequest& b) { return a.seq < b.seq; });
 }
 
 void MemoryController::InstallMitigation(std::unique_ptr<McMitigation> mitigation) {

@@ -13,9 +13,14 @@
 //     optional DRAM-assisted variant.
 //
 // Baseline scheduling is FR-FCFS over per-channel queues with an
-// open-page row-buffer policy and a rank-level refresh manager. Hardware
-// mitigation baselines (PARA/Graphene/TWiCe/BlockHammer) plug in via the
-// McMitigation interface and are driven on every ACT.
+// open-page row-buffer policy and a rank-level refresh manager. Each
+// channel's queue is one fixed slab of queue_capacity entries threaded
+// into an age-ordered list per (rank, bank), so a scheduling pass visits
+// occupied banks rather than every queued request (DESIGN.md §8). An
+// organization must have ranks x banks <= 64: per-bank state is kept in
+// 64-bit masks. Hardware mitigation baselines (PARA/Graphene/TWiCe/
+// BlockHammer) plug in via the McMitigation interface and are driven on
+// every ACT.
 #ifndef HAMMERTIME_SRC_MC_CONTROLLER_H_
 #define HAMMERTIME_SRC_MC_CONTROLLER_H_
 
@@ -33,6 +38,7 @@
 #include "dram/device.h"
 #include "mc/act_counter.h"
 #include "mc/addrmap.h"
+#include "mc/check_hooks.h"
 #include "mc/mitigations.h"
 #include "mc/request.h"
 
@@ -41,7 +47,7 @@ namespace ht {
 struct McConfig {
   InterleaveScheme scheme = InterleaveScheme::kCacheLine;
   bool open_page = true;           // Leave rows open after RD/WR.
-  uint32_t queue_capacity = 64;    // Per-channel request queue depth.
+  uint32_t queue_capacity = 64;    // Per-channel request queue depth (slab size).
   ActCounterConfig act_counter;
   // Enforce the domain→subarray-group table on every request (§4.1).
   bool enforce_domain_groups = false;
@@ -132,6 +138,7 @@ class MemoryController {
 
   void InstallMitigation(std::unique_ptr<McMitigation> mitigation);
   McMitigation* mitigation() { return mitigation_.get(); }
+  const McMitigation* mitigation() const { return mitigation_.get(); }
 
   // Both accessors fold the mitigation table probes in first
   // (SyncTelemetry is idempotent and cheap), so mid-run readers —
@@ -155,11 +162,50 @@ class MemoryController {
   // Total Rowhammer flip events across all channels.
   uint64_t TotalFlipEvents() const;
 
- private:
-  struct PendingRequest {
-    MemRequest request;
+  // --- Differential checking -------------------------------------------------
+
+  // Attach (or detach with nullptr) the scheduler observer; see
+  // mc/check_hooks.h. Detached, each scheduling call pays one branch.
+  void set_check_observer(McCheckObserver* check) { check_ = check; }
+
+  // A queued request as an observer sees it. `seq` is the channel-wide
+  // arrival number FR-FCFS orders by ("oldest" = smallest seq).
+  struct QueuedRequest {
+    uint64_t seq = 0;
+    MemOp op = MemOp::kRead;
     DdrCoord coord;
+  };
+  // Fills `out` with the channel's request queue, oldest first.
+  void QueueInAgeOrder(uint32_t channel, std::vector<QueuedRequest>* out) const;
+  // REF due cycles: one per rank, or one per (rank, bank) slot under
+  // per-bank refresh. A slot at or past its due is draining.
+  const std::vector<Cycle>& RefreshDue(uint32_t channel) const {
+    return channels_[channel].ref_due;
+  }
+
+ private:
+  static constexpr uint32_t kNil = 0xFFFFFFFFu;  // End of a slab list.
+
+  // One request-queue slab entry. Live entries sit on their bank's
+  // doubly linked list; free ones on the channel's free list (`next` only).
+  struct PendingRequest {
+    uint64_t seq = 0;      // Channel-wide arrival order.
+    uint32_t next = kNil;  // Next younger entry of the same bank (or next free).
+    uint32_t prev = kNil;  // Next older entry of the same bank.
     bool counted = false;  // Row-hit/miss/conflict already classified.
+    DdrCoord coord;
+    MemRequest request;
+  };
+
+  // A (rank, bank) slot's requests, oldest at `head`, plus the pass-1
+  // memo: for row `hit_row` (kNil = not computed), hits[0] / hits[1] are
+  // the oldest read / write to that row (kNil = none). Enqueue and unlink
+  // keep it exact; a different open row recomputes it.
+  struct BankQueue {
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+    uint32_t hit_row = kNil;
+    uint32_t hits[2] = {kNil, kNil};
   };
 
   enum class InternalOpKind : uint8_t {
@@ -188,7 +234,16 @@ class MemoryController {
   };
 
   struct ChannelState {
-    std::deque<PendingRequest> queue;
+    // The request queue: `slab` holds queue_capacity entries, threaded
+    // into one age-ordered list per (rank, bank) slot (`banks`, indexed
+    // rank * banks + bank). `occupied` has a bit per slot whose list is
+    // non-empty; `queued` counts live entries.
+    std::vector<PendingRequest> slab;
+    std::vector<BankQueue> banks;
+    uint64_t occupied = 0;
+    uint32_t free_head = kNil;
+    uint32_t queued = 0;
+    uint64_t next_seq = 0;
     std::deque<InternalOp> internal_ops;
     std::vector<Cycle> ref_due;  // Per rank.
     std::priority_queue<InFlightRead, std::vector<InFlightRead>, std::greater<>> in_flight;
@@ -213,8 +268,24 @@ class MemoryController {
   // channel state (kNeverCycle when only a state change can unblock it).
   bool TryRefreshManager(uint32_t channel, Cycle now, Cycle& retry);
   bool TryInternalOps(uint32_t channel, Cycle now, Cycle& retry);
+  // FR-FCFS over the bank lists, in three passes: (1) the oldest row hit
+  // whose RD/WR is legal; (2) the oldest closed bank's head whose ACT is
+  // legal and unthrottled; (3) the oldest open bank's head that misses
+  // the open row, whose PRE is legal. Passes 1 and 2 skip draining
+  // slots. RD/WR/ACT/PRE legality depends only on (command, rank, bank),
+  // so each bank contributes at most its oldest read hit and oldest
+  // write hit to pass 1 and only its head to passes 2 and 3.
   bool TryRequests(uint32_t channel, Cycle now, Cycle& retry);
-  void IssueRequestAccess(uint32_t channel, size_t queue_index, Cycle now);
+  // Recomputes `bank`'s pass-1 memo for open row `row`.
+  static void FindHits(const ChannelState& channel, BankQueue& bank, uint32_t row);
+  // Unlinks slab entry `index` and performs the access its RD/WR just
+  // issued.
+  void IssueRequestAccess(uint32_t channel, uint32_t index, Cycle now);
+  void ReportDecision(uint32_t channel, Cycle now, const ScheduleDecision& decision) {
+    if (check_ != nullptr) [[unlikely]] {
+      check_->OnSchedule(channel, now, decision);
+    }
+  }
   void DrainCompletions(uint32_t channel, Cycle now);
   void NotifyMitigationActivate(const DdrCoord& coord, Cycle now);
   // Expands a neighbour-refresh request into internal ops.
@@ -234,6 +305,8 @@ class MemoryController {
   uint64_t epoch_index_ = 0;  // Refresh windows completed (trace only).
   StatSet stats_;
   TraceBuffer* trace_ = nullptr;
+  McCheckObserver* check_ = nullptr;
+  uint64_t rank_bank_mask_ = 0;  // One bit per bank of a rank.
 
   // Interned stat handles (resolved once in the constructor; see
   // common/stats.h for lifetime rules).

@@ -213,7 +213,16 @@ void BlockHammerMitigation::OnActivate(uint32_t rank, uint32_t bank, uint32_t ro
 }
 
 Cycle BlockHammerMitigation::ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) {
-  BankFilter& filter = filters_[static_cast<size_t>(rank) * org_.banks + bank];
+  const Cycle allowed = PeekActAllowedAt(rank, bank, row, now);
+  if (allowed > now) {
+    ++throttled_;
+  }
+  return allowed;
+}
+
+Cycle BlockHammerMitigation::PeekActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row,
+                                              Cycle now) const {
+  const BankFilter& filter = filters_[static_cast<size_t>(rank) * org_.banks + bank];
   if (MinCount(filter, row) < blacklist_threshold_) {
     return now;
   }
@@ -223,11 +232,7 @@ Cycle BlockHammerMitigation::ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t
     last = std::max(last, filter.last_act[HashSlot(row, h)]);
   }
   const Cycle allowed = last + throttle_delay_;
-  if (allowed > now) {
-    ++throttled_;
-    return allowed;
-  }
-  return now;
+  return allowed > now ? allowed : now;
 }
 
 void BlockHammerMitigation::OnEpoch(Cycle now) {

@@ -52,8 +52,16 @@ class McMitigation {
                           std::vector<NeighborRefreshRequest>& out) = 0;
 
   // Scheduling gate: the earliest cycle an ACT of `row` may issue.
-  // Returning `now` means unthrottled. Only BlockHammer throttles.
+  // Returning `now` means unthrottled. Only BlockHammer throttles. The
+  // controller calls this once per ACT candidate it examines; a mitigation
+  // may count the throttled answers.
   virtual Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) {
+    return PeekActAllowedAt(rank, bank, row, now);
+  }
+
+  // The same answer as ActAllowedAt without counting anything, for
+  // observers that must not perturb the run (the reference scheduler).
+  virtual Cycle PeekActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) const {
     (void)rank;
     (void)bank;
     (void)row;
@@ -202,6 +210,7 @@ class BlockHammerMitigation : public McMitigation {
   void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
                   std::vector<NeighborRefreshRequest>& out) override;
   Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) override;
+  Cycle PeekActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) const override;
   void OnEpoch(Cycle now) override;
   uint64_t SramBits() const override;
   uint64_t throttled_acts() const { return throttled_; }

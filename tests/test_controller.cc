@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "check/frfcfs_ref.h"
 
 namespace ht {
 namespace {
@@ -275,6 +278,256 @@ TEST_F(ControllerTest, MitigationRefreshRequestsExecuted) {
   EXPECT_GT(mc_->stats().Get("mc.mitigation_refreshes"), 0u);
   // 1 request ACT + up to 2*blast neighbour refresh ACTs.
   EXPECT_GT(mc_->device(0).stats().Get("dram.acts"), 1u);
+}
+
+// --- FR-FCFS rules on hand-built queues ---------------------------------------
+//
+// Each case opens rows straight on the device, enqueues a few requests and
+// ticks the controller cycle by cycle. Every scheduling decision is also
+// checked against the naive RefFrFcfs (check/frfcfs_ref.h).
+
+// Records each decision after checking it against the reference.
+class CheckedDecisions : public McCheckObserver {
+ public:
+  explicit CheckedDecisions(const MemoryController& mc) : oracle_(mc, 0, 16) {}
+  void OnSchedule(uint32_t channel, Cycle now, const ScheduleDecision& decision) override {
+    oracle_.OnSchedule(channel, now, decision);
+    log.push_back(decision);
+  }
+  std::vector<ScheduleDecision> Issued() const {
+    std::vector<ScheduleDecision> out;
+    for (const ScheduleDecision& decision : log) {
+      if (decision.issued) {
+        out.push_back(decision);
+      }
+    }
+    return out;
+  }
+  const SchedulerOracle& oracle() const { return oracle_; }
+
+  std::vector<ScheduleDecision> log;
+
+ private:
+  SchedulerOracle oracle_;
+};
+
+// Throttles every ACT of `row` until `until` (a BlockHammer stand-in).
+class RowThrottle : public McMitigation {
+ public:
+  RowThrottle(uint32_t row, Cycle until) : row_(row), until_(until) {}
+  std::string name() const override { return "row-throttle"; }
+  void OnActivate(uint32_t, uint32_t, uint32_t, Cycle,
+                  std::vector<NeighborRefreshRequest>&) override {}
+  Cycle PeekActAllowedAt(uint32_t, uint32_t, uint32_t row, Cycle now) const override {
+    return row == row_ && now < until_ ? until_ : now;
+  }
+  uint64_t SramBits() const override { return 0; }
+
+ private:
+  uint32_t row_;
+  Cycle until_;
+};
+
+class FrFcfsRuleTest : public ControllerTest {
+ protected:
+  FrFcfsRuleTest() { Attach(); }
+  ~FrFcfsRuleTest() override {
+    EXPECT_GT(checker_->oracle().decisions_checked(), 0u);
+    EXPECT_TRUE(checker_->oracle().ok()) << checker_->oracle().Report();
+    mc_->set_check_observer(nullptr);
+  }
+
+  void Rebuild(const DramConfig& dram, const McConfig& mc_config) {
+    ControllerTest::Rebuild(dram, mc_config);
+    Attach();
+  }
+  void Attach() {
+    checker_ = std::make_unique<CheckedDecisions>(*mc_);
+    mc_->set_check_observer(checker_.get());
+  }
+
+  PhysAddr At(uint32_t bank, uint32_t row, uint32_t column = 0) const {
+    return mc_->mapper().AddrOf(DdrCoord{0, 0, bank, row, column});
+  }
+  // Issues `cmd` straight on the device (rank 0), bypassing the queue.
+  void Direct(const DdrCommand& cmd, Cycle at) {
+    ASSERT_EQ(mc_->device(0).Issue(cmd, at), TimingVerdict::kOk) << cmd.ToDebugString();
+  }
+  // Ticks one cycle; returns the decision that cycle made, if any.
+  std::optional<ScheduleDecision> TickOnce() {
+    const size_t before = checker_->log.size();
+    mc_->Tick(now_++);
+    if (checker_->log.size() == before) {
+      return std::nullopt;
+    }
+    return checker_->log.back();
+  }
+  bool Legal(const DdrCommand& cmd) const {
+    return mc_->device(0).Check(cmd, now_) == TimingVerdict::kOk;
+  }
+
+  std::unique_ptr<CheckedDecisions> checker_;
+};
+
+TEST_F(FrFcfsRuleTest, RowHitBeatsOlderMiss) {
+  Direct(DdrCommand::Act(0, 0, 5), 0);
+  now_ = 100;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(1, 9)), now_));     // seq 0: miss, bank 1 closed.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 9)), now_));     // seq 1: conflict in bank 0.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 5, 3)), now_));  // seq 2: hit.
+  ASSERT_TRUE(Legal(DdrCommand::Act(0, 1, 9)));
+  const std::optional<ScheduleDecision> first = TickOnce();
+  ASSERT_TRUE(first.has_value() && first->issued);
+  EXPECT_EQ(first->command, DdrCommandType::kRead);
+  EXPECT_EQ(first->seq, 2u);
+  EXPECT_EQ(mc_->stats().Get("mc.row_hits"), 1u);
+  RunFor(400);
+  EXPECT_EQ(responses_.size(), 3u);
+}
+
+TEST_F(FrFcfsRuleTest, OnlyOldestRequestMayActivateItsBank) {
+  mc_->InstallMitigation(std::make_unique<RowThrottle>(7, 300));
+  now_ = 100;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 7)), now_));  // seq 0: throttled until 300.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 8)), now_));  // seq 1: same bank, unthrottled.
+  while (now_ < 300) {
+    const std::optional<ScheduleDecision> decision = TickOnce();
+    ASSERT_TRUE(decision.has_value());
+    ASSERT_FALSE(decision->issued) << "cycle " << now_ - 1;  // Bank 0 is claimed by seq 0.
+    EXPECT_EQ(decision->throttle_stalls, 1u);
+  }
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 200u);
+  EXPECT_FALSE(mc_->device(0).OpenRow(0, 0).has_value());
+  const std::optional<ScheduleDecision> act = TickOnce();
+  ASSERT_TRUE(act.has_value() && act->issued);
+  EXPECT_EQ(act->command, DdrCommandType::kActivate);
+  EXPECT_EQ(act->seq, 0u);
+  RunFor(400);
+  ASSERT_EQ(responses_.size(), 2u);
+  EXPECT_EQ(responses_[0].addr, At(0, 7));
+}
+
+TEST_F(FrFcfsRuleTest, NoPrechargeWhileOlderRequestWantsOpenRow) {
+  Direct(DdrCommand::Act(0, 0, 5), 0);
+  Direct(DdrCommand::Act(0, 1, 6), 10);
+  now_ = 200;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(1, 6, 1)), now_));  // seq 0: hit, bank 1.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 5, 2)), now_));  // seq 1: hit, bank 0.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 9)), now_));     // seq 2: conflict, bank 0.
+  RunFor(300);
+  const std::vector<ScheduleDecision> issued = checker_->Issued();
+  ASSERT_GE(issued.size(), 5u);
+  // RD for bank 1 at cycle 200 holds bank 0's RD back by tCCD. Bank 0's
+  // PRE is legal meanwhile, but seq 1 still wants row 5: no PRE until it
+  // is served.
+  EXPECT_EQ(issued[0].command, DdrCommandType::kRead);
+  EXPECT_EQ(issued[0].seq, 0u);
+  EXPECT_EQ(issued[1].command, DdrCommandType::kRead);
+  EXPECT_EQ(issued[1].seq, 1u);
+  EXPECT_EQ(issued[2].command, DdrCommandType::kPrecharge);
+  EXPECT_EQ(issued[2].seq, 2u);
+  EXPECT_EQ(issued[3].command, DdrCommandType::kActivate);
+  EXPECT_EQ(issued[4].command, DdrCommandType::kRead);
+  EXPECT_EQ(mc_->stats().Get("mc.row_conflicts"), 1u);
+}
+
+TEST_F(FrFcfsRuleTest, DrainingRankBlocksHitsAndActsButMayPrecharge) {
+  const Cycle due = mc_->dram_config().RefPeriod();
+  Direct(DdrCommand::Act(0, 0, 5), due - 100);
+  Direct(DdrCommand::Act(0, 1, 6), due - 20);  // Its tRAS keeps PREA illegal at `due`.
+  now_ = due;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(1, 6, 1)), now_));  // seq 0: hit.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 9)), now_));     // seq 1: conflict.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(2, 3)), now_));     // seq 2: closed bank.
+  ASSERT_TRUE(Legal(DdrCommand::Rd(0, 1, 1, false)));
+  ASSERT_TRUE(Legal(DdrCommand::Act(0, 2, 3)));
+  ASSERT_TRUE(Legal(DdrCommand::Pre(0, 0)));
+  ASSERT_FALSE(Legal(DdrCommand::PreAll(0)));
+  const std::optional<ScheduleDecision> decision = TickOnce();
+  ASSERT_TRUE(decision.has_value() && decision->issued);
+  EXPECT_EQ(decision->command, DdrCommandType::kPrecharge);
+  EXPECT_EQ(decision->seq, 1u);
+  RunFor(2000);
+  EXPECT_EQ(mc_->stats().Get("mc.refs_issued"), 1u);
+  EXPECT_EQ(responses_.size(), 3u);
+}
+
+TEST_F(FrFcfsRuleTest, DrainingBankBlocksItsHitsOnly) {
+  DramConfig dram = DramConfig::SimDefault();
+  dram.retention.per_bank_refresh = true;
+  Rebuild(dram, McConfig{});
+  const Cycle due = mc_->RefreshDue(0)[0];  // Bank 0 drains first.
+  Direct(DdrCommand::Act(0, 0, 5), due - 20);  // Its tRAS keeps PRE illegal at `due`.
+  now_ = due;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 5, 1)), now_));  // seq 0: hit, draining bank.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(1, 4)), now_));     // seq 1: closed bank 1.
+  ASSERT_TRUE(Legal(DdrCommand::Rd(0, 0, 1, false)));
+  const std::optional<ScheduleDecision> decision = TickOnce();
+  ASSERT_TRUE(decision.has_value() && decision->issued);
+  EXPECT_EQ(decision->command, DdrCommandType::kActivate);
+  EXPECT_EQ(decision->seq, 1u);
+  RunFor(2000);
+  EXPECT_GE(mc_->stats().Get("mc.refs_sb_issued"), 1u);
+  EXPECT_EQ(responses_.size(), 2u);
+}
+
+TEST_F(FrFcfsRuleTest, ThrottledHeadCountedOncePerScanYoungerHeadStillActs) {
+  mc_->InstallMitigation(std::make_unique<RowThrottle>(7, kNeverCycle));
+  now_ = 100;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 7)), now_));  // seq 0: throttled head.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(1, 8)), now_));  // seq 1: younger head.
+  const std::optional<ScheduleDecision> act = TickOnce();
+  ASSERT_TRUE(act.has_value() && act->issued);
+  EXPECT_EQ(act->command, DdrCommandType::kActivate);
+  EXPECT_EQ(act->seq, 1u);
+  EXPECT_EQ(act->throttle_stalls, 1u);
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 1u);
+  // Bank 1's RD waits for tRCD; the throttled head is asked again, and
+  // counted again, on every scan until then.
+  const std::optional<ScheduleDecision> wait = TickOnce();
+  ASSERT_TRUE(wait.has_value());
+  EXPECT_FALSE(wait->issued);
+  EXPECT_EQ(wait->throttle_stalls, 1u);
+  EXPECT_EQ(wait->retry, now_);
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 2u);
+}
+
+TEST_F(FrFcfsRuleTest, OldestLegalHitWinsWhenReadAndWriteLegalityDiffer) {
+  Direct(DdrCommand::Act(0, 0, 5), 0);
+  Direct(DdrCommand::Wr(0, 0, 0, false), 100);
+  now_ = 110;
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 5, 1)), now_));         // seq 0: RD waits for tWTR.
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 5, 2), 7), now_));     // seq 1: WR legal.
+  ASSERT_FALSE(Legal(DdrCommand::Rd(0, 0, 1, false)));
+  ASSERT_TRUE(Legal(DdrCommand::Wr(0, 0, 2, false)));
+  const std::optional<ScheduleDecision> decision = TickOnce();
+  ASSERT_TRUE(decision.has_value() && decision->issued);
+  EXPECT_EQ(decision->command, DdrCommandType::kWrite);
+  EXPECT_EQ(decision->seq, 1u);
+  RunFor(200);
+  EXPECT_EQ(responses_.size(), 2u);
+}
+
+TEST_F(FrFcfsRuleTest, LargestOrganizationUsesEveryMaskBit) {
+  DramConfig dram = DramConfig::SimDefault();
+  dram.org.ranks = 8;  // 8 ranks x 8 banks: slot 63 is the last mask bit.
+  Rebuild(dram, McConfig{});
+  const PhysAddr last = mc_->mapper().AddrOf(DdrCoord{0, 7, 7, 3, 0});
+  ASSERT_TRUE(mc_->Enqueue(Read(last), now_));
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 3)), now_));
+  RunFor(400);
+  ASSERT_EQ(responses_.size(), 2u);
+  EXPECT_EQ(responses_[0].addr, last);
+}
+
+TEST(ControllerDeathTest, RejectsMoreThan64RankBankSlots) {
+  DramConfig dram = DramConfig::SimDefault();
+  dram.org.ranks = 2;
+  dram.org.banks = 64;
+  EXPECT_DEATH(MemoryController(dram, McConfig{}), "ranks x banks = 2 x 64");
+  dram.org.ranks = 1u << 16;  // The product wraps to 0 in 32 bits.
+  dram.org.banks = 1u << 16;
+  EXPECT_DEATH(MemoryController(dram, McConfig{}), "ranks x banks = 65536 x 65536");
 }
 
 }  // namespace

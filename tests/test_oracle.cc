@@ -5,6 +5,8 @@
 // actually fires and shrinks to a replayable reproducer.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/runner/runner.h"
 #include "check/generator.h"
 #include "check/oracle.h"
@@ -177,6 +179,11 @@ TEST(SeedLineTest, RoundTripsAndRejectsGarbage) {
   EXPECT_EQ(parsed->seed, scenario.seed);
   EXPECT_EQ(parsed->cycles, scenario.cycles);
   EXPECT_EQ(parsed->feature_mask, scenario.feature_mask);
+  EXPECT_EQ(scenario.ToSeedLine().find("inject_pick"), std::string::npos);
+  scenario.inject_pick_after = 200;
+  const std::optional<FuzzCase> picked = ParseSeedLine(scenario.ToSeedLine());
+  ASSERT_TRUE(picked.has_value());
+  EXPECT_EQ(picked->inject_pick_after, 200u);
 
   EXPECT_FALSE(ParseSeedLine("").has_value());
   EXPECT_FALSE(ParseSeedLine("htfuzz v2 device seed=1").has_value());
@@ -207,6 +214,63 @@ TEST(SystemOracleTest, CleanOnDefendedScenario) {
   RunScenario(spec, nullptr, &hooks);
   EXPECT_TRUE(oracle.ok()) << oracle.Report();
   EXPECT_GT(commands, 1000u);
+  EXPECT_GT(oracle.decisions_checked(), 1000u);
+}
+
+// A deep DMA queue under BlockHammer exercises every FR-FCFS pass, the
+// throttle and the failed-scan memo; the scheduler must match RefFrFcfs
+// on every decision, and attaching the reference must change nothing.
+// The second run drains single banks (per-bank refresh) under a
+// closed-page policy with a benign co-runner.
+TEST(SystemOracleTest, SchedulerMatchesReferenceUnderThrottledDma) {
+  for (const bool per_bank : {false, true}) {
+    SCOPED_TRACE(per_bank ? "per-bank refresh, closed page" : "rank refresh, open page");
+    ScenarioSpec spec;
+    spec.attack = AttackKind::kDma;
+    spec.hw = HwMitigationKind::kBlockHammer;
+    spec.run_cycles = 200000;
+    spec.pages_per_tenant = 128;
+    spec.system.dram.retention.per_bank_refresh = per_bank;
+    spec.system.mc.open_page = !per_bank;
+    spec.benign_corunner = per_bank;
+    const ScenarioResult plain = RunScenario(spec);
+    SystemOracle oracle;
+    std::string report;  // Captured while the System (which it reads) lives.
+    ScenarioHooks hooks;
+    hooks.on_start = [&](System& system) { oracle.Attach(system); };
+    hooks.on_finish = [&](System& system) {
+      oracle.FinalCheck();
+      report = oracle.Report();
+      oracle.Detach(system);
+    };
+    const ScenarioResult checked = RunScenario(spec, nullptr, &hooks);
+    EXPECT_TRUE(oracle.ok()) << report;
+    EXPECT_GT(oracle.decisions_checked(), 1000u);
+    EXPECT_EQ(checked.perf.ops, plain.perf.ops);
+    EXPECT_EQ(checked.throttle_stalls, plain.throttle_stalls);
+    EXPECT_EQ(checked.security.flip_events, plain.security.flip_events);
+  }
+}
+
+TEST(SystemOracleTest, SchedulerInjectionFiresAtSystemLevel) {
+  ScenarioSpec spec;
+  spec.attack = AttackKind::kDma;
+  spec.run_cycles = 60000;
+  spec.pages_per_tenant = 128;
+  OracleOptions options;
+  options.break_scheduler_after = 100;
+  SystemOracle oracle(options);
+  std::string report;  // Captured while the System (which it reads) lives.
+  ScenarioHooks hooks;
+  hooks.on_start = [&](System& system) { oracle.Attach(system); };
+  hooks.on_finish = [&](System& system) {
+    oracle.FinalCheck();
+    report = oracle.Report();
+    oracle.Detach(system);
+  };
+  RunScenario(spec, nullptr, &hooks);
+  EXPECT_FALSE(oracle.ok());
+  EXPECT_NE(report.find("[decision #"), std::string::npos) << report;
 }
 
 TEST(SystemOracleTest, InjectionFiresAtSystemLevel) {

@@ -23,6 +23,7 @@
 //   hammerfuzz --iterations 200 --seed 1 --out /tmp/fuzz
 //   hammerfuzz --corpus tests/corpus
 //   hammerfuzz --iterations 3 --seed 7 --inject-at 40 --out /tmp/fuzz
+//   hammerfuzz --mode scenario --iterations 1 --seed 5 --inject-pick-at 200
 //   hammerfuzz --replay /tmp/fuzz/repro_latest.seed
 #include <algorithm>
 #include <cstdio>
@@ -52,6 +53,7 @@ struct CliOptions {
   std::string corpus_dir;     // Replay every *.seed file under this dir.
   std::string replay_file;    // Replay one seed file.
   uint64_t inject_at = 0;     // Arm oracle fault injection per case.
+  uint64_t inject_pick_at = 0;  // Arm scheduler-reference fault injection.
   bool verbose = false;
 };
 
@@ -68,17 +70,22 @@ void PrintUsage() {
       "  --replay FILE      replay one seed file and exit\n"
       "  --inject-at N      break the reference model after N commands\n"
       "                     (tests that the oracle actually fires)\n"
+      "  --inject-pick-at N break the FR-FCFS reference after N scheduling\n"
+      "                     decisions (scenario cases; tests that a wrong\n"
+      "                     pick is caught)\n"
       "  --verbose          one line per case\n"
       "\n"
       "Seed files hold one case per line (blank lines and # comments are\n"
       "skipped). Each line is self-contained and replayable on its own:\n"
       "\n"
       "  htfuzz v1 <kind> seed=0xHEX steps=N|cycles=N mask=0xHEX inject=N\n"
+      "                   [inject_pick=N]\n"
       "\n"
       "where <kind> is device, scenario, or pattern; device and pattern\n"
       "cases carry steps=N, scenario cases carry cycles=N; mask holds the\n"
       "feature-disable bits pinned by shrinking; inject=N arms oracle\n"
-      "fault injection after N commands (0 = off).\n"
+      "fault injection after N commands (0 = off); inject_pick=N breaks the\n"
+      "FR-FCFS reference after N scheduling decisions.\n"
       "\n"
       "Exit status: 0 all cases clean, 1 any failure, 2 usage error.");
 }
@@ -156,6 +163,7 @@ VariantOutcome RunScenarioVariant(const FuzzCase& fuzz_case, bool skip_idle) {
   spec.system.skip_idle = skip_idle;
   OracleOptions oracle_options;
   oracle_options.break_reference_after = fuzz_case.inject_after;
+  oracle_options.break_scheduler_after = fuzz_case.inject_pick_after;
   SystemOracle oracle(oracle_options);
   VariantOutcome out;
   ScenarioHooks hooks;
@@ -493,6 +501,7 @@ int Generate(const CliOptions& options) {
     fuzz_case.steps = 8000 + steps_draw;
     fuzz_case.cycles = 40000 + cycles_draw;
     fuzz_case.inject_after = options.inject_at;
+    fuzz_case.inject_pick_after = options.inject_pick_at;
     (fuzz_case.kind == FuzzCase::Kind::kDevice    ? device_cases
      : fuzz_case.kind == FuzzCase::Kind::kPattern ? pattern_cases
                                                   : scenario_cases)++;
@@ -524,6 +533,8 @@ int main(int argc, char** argv) {
       .Option("replay", "FILE", "replay one seed file and exit")
       .Option("inject-at", "N",
               "break the reference model after N commands (tests that the oracle fires)")
+      .Option("inject-pick-at", "N",
+              "break the FR-FCFS reference after N scheduling decisions (scenario cases)")
       .Flag("verbose", "one line per case");
   if (!parser.Parse(argc, argv)) {
     std::fprintf(stderr, "hammerfuzz: %s\n", parser.error().c_str());
@@ -541,6 +552,7 @@ int main(int argc, char** argv) {
   options.corpus_dir = parser.Get("corpus");
   options.replay_file = parser.Get("replay");
   options.inject_at = std::strtoull(parser.Get("inject-at").c_str(), nullptr, 0);
+  options.inject_pick_at = std::strtoull(parser.Get("inject-pick-at").c_str(), nullptr, 0);
   options.verbose = parser.GetBool("verbose");
   if (options.mode != "device" && options.mode != "scenario" && options.mode != "pattern" &&
       options.mode != "both") {
