@@ -24,6 +24,8 @@ ScheduleDecision RefFrFcfs::Decide(const MemoryController& mc, uint32_t channel,
     decision.seq = seq;
     return decision;
   };
+  // Earliest cycle a timing-blocked candidate becomes legal or a
+  // throttled head is released.
   Cycle block = kNeverCycle;
 
   // Pass 1 (FR): oldest row hit whose RD/WR is legal now.
@@ -57,10 +59,13 @@ ScheduleDecision RefFrFcfs::Decide(const MemoryController& mc, uint32_t channel,
     if (draining(coord) || device.OpenRow(coord.rank, coord.bank).has_value()) {
       continue;
     }
-    if (mitigation != nullptr &&
-        mitigation->PeekActAllowedAt(coord.rank, coord.bank, coord.row, now) > now) {
-      ++decision.throttle_stalls;
-      continue;
+    if (mitigation != nullptr) {
+      const Cycle allowed = mitigation->ActAllowedAt(coord.rank, coord.bank, coord.row, now);
+      if (allowed > now) {
+        ++decision.throttle_stalls;
+        block = std::min(block, allowed);
+        continue;
+      }
     }
     const DdrCommand act = DdrCommand::Act(coord.rank, coord.bank, coord.row);
     if (device.Check(act, now) == TimingVerdict::kOk) {
@@ -94,7 +99,16 @@ ScheduleDecision RefFrFcfs::Decide(const MemoryController& mc, uint32_t channel,
     }
     block = std::min(block, device.EarliestCycle(pre));
   }
-  decision.retry = decision.throttle_stalls != 0 ? now + 1 : std::max(block, now + 1);
+  // While a head is throttled, the next slot to start draining also ends
+  // the retry: it changes which heads count as throttled.
+  if (decision.throttle_stalls != 0) {
+    for (const Cycle due : ref_due) {
+      if (due > now) {
+        block = std::min(block, due);
+      }
+    }
+  }
+  decision.retry = std::max(block, now + 1);
   return decision;
 }
 
@@ -121,9 +135,11 @@ void SchedulerOracle::OnSchedule(uint32_t channel, Cycle now, const ScheduleDeci
   const ScheduleDecision expected = reference_.Decide(mc_, channel, now);
   bool agree = false;
   if (decision.memoized) {
-    // The memo may only answer when a scan would issue nothing, and may
-    // only ask to be woken no later than a scan would.
-    agree = !expected.issued && expected.throttle_stalls == 0 && decision.retry <= expected.retry;
+    // The memo may only answer when a scan would issue nothing and would
+    // count the same throttled heads, and may only ask to be woken no
+    // later than a scan would.
+    agree = !expected.issued && decision.throttle_stalls == expected.throttle_stalls &&
+            decision.retry <= expected.retry;
   } else if (decision.issued) {
     agree = expected.issued && decision.command == expected.command &&
             decision.seq == expected.seq && decision.throttle_stalls == expected.throttle_stalls;

@@ -17,7 +17,9 @@
 //     request of that bank wanting the open row, whose PRE is legal now.
 //
 // With nothing legal, the retry is the earliest cycle any timing-blocked
-// candidate becomes legal (now + 1 if a throttle was seen).
+// candidate becomes legal or any throttled head is released (the cycle
+// ActAllowedAt names), also bounded, while a head is throttled, by the
+// next refresh due; never before now + 1.
 #ifndef HAMMERTIME_SRC_CHECK_FRFCFS_REF_H_
 #define HAMMERTIME_SRC_CHECK_FRFCFS_REF_H_
 
@@ -49,7 +51,8 @@ class RefFrFcfs {
 // Attached to a MemoryController, checks every TryRequests decision:
 // a scan must match RefFrFcfs exactly (command, request, retry cycle and
 // throttle count); a memoized call must be one the reference also issues
-// nothing on, with a retry no later than the reference's.
+// nothing on, with the reference's throttle count and a retry no later
+// than the reference's.
 class SchedulerOracle final : public McCheckObserver {
  public:
   // `break_after` != 0 breaks the reference after that many decisions.

@@ -17,8 +17,9 @@ namespace ht {
 
 // What one TryRequests call decided, reported before anything issues.
 struct ScheduleDecision {
-  // The failed-scan memo (next_sched) answered without scanning; `retry`
-  // is the memoized cycle. A memoized call never issues.
+  // The scheduling memo (next_sched) answered without scanning; `retry`
+  // is the memoized cycle and `throttle_stalls` the throttled heads the
+  // skipped scan would have met. A memoized call never issues.
   bool memoized = false;
   bool issued = false;
   // When issued: the command (RD, WR, ACT or PRE) and the arrival
@@ -27,7 +28,8 @@ struct ScheduleDecision {
   uint64_t seq = 0;
   // When not issued: the cycle the scan reported as its retry.
   Cycle retry = 0;
-  // mc.throttle_stalls counted by this call.
+  // mc.throttle_stalls counted for this call's cycle: by the scan, or by
+  // the memo's open throttle interval.
   uint64_t throttle_stalls = 0;
 };
 

@@ -102,6 +102,7 @@ bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
       c_domain_group_violations_->Increment();
     }
   }
+  const bool was_empty = channel.occupied == 0;
   const uint32_t index = channel.free_head;
   PendingRequest& entry = channel.slab[index];
   channel.free_head = entry.next;
@@ -124,8 +125,28 @@ bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
   }
   channel.occupied |= 1ull << slot;
   ++channel.queued;
-  channel.next_sched = 0;
-  channel.next_try = 0;
+  // The rest of the queue is unchanged, so the memo only has to cover the
+  // newcomer's own candidacy: a row hit (RD/WR), or as its bank's head a
+  // PRE (open bank) or an ACT (closed bank). A closed-bank head may be
+  // throttled, which changes the throttle count, so with a mitigation
+  // installed it forces a rescan instead.
+  const DramDevice& device = *devices_[coord.channel];
+  const std::optional<uint32_t> open_row = device.OpenRow(coord.rank, coord.bank);
+  Cycle earliest = kNeverCycle;
+  if (open_row == coord.row) {
+    const bool ap = !config_.open_page;
+    earliest = device.EarliestCycle(
+        request.op == MemOp::kRead ? DdrCommand::Rd(coord.rank, coord.bank, coord.column, ap)
+                                   : DdrCommand::Wr(coord.rank, coord.bank, coord.column, ap));
+  } else if (bank.head == index && open_row.has_value()) {
+    earliest = device.EarliestCycle(DdrCommand::Pre(coord.rank, coord.bank));
+  } else if (bank.head == index) {
+    earliest = mitigation_ != nullptr
+                   ? 0
+                   : device.EarliestCycle(DdrCommand::Act(coord.rank, coord.bank, coord.row));
+  }
+  channel.next_sched = was_empty ? earliest : std::min(channel.next_sched, earliest);
+  channel.next_try = std::min(channel.next_try, channel.next_sched);
   c_requests_->Increment();
   return true;
 }
@@ -235,29 +256,42 @@ bool MemoryController::TickChannel(uint32_t channel_index, Cycle now) {
   // Priority: refresh manager (retention correctness) > internal ops
   // (defense actions are latency-critical) > regular requests.
   ChannelState& channel = channels_[channel_index];
+  FoldThrottleStalls(channel, now);
   Cycle refresh_retry = kNeverCycle;
   Cycle internal_retry = kNeverCycle;
   Cycle request_retry = kNeverCycle;
-  if (TryRefreshManager(channel_index, now, refresh_retry)) {
+  if (TryRefreshManager(channel_index, now, refresh_retry) ||
+      TryInternalOps(channel_index, now, internal_retry)) {
+    // No request scan runs this cycle, so the throttle interval closes
+    // without counting it; the next cycle rescans.
+    channel.throttled_heads = 0;
     channel.next_sched = 0;
     channel.next_try = 0;
     return true;
   }
-  if (TryInternalOps(channel_index, now, internal_retry)) {
-    channel.next_sched = 0;
-    channel.next_try = 0;
-    return true;
-  }
-  if (TryRequests(channel_index, now, request_retry)) {
-    channel.next_try = 0;
-    return true;
-  }
-  // Nothing issued. Every stage's retry is exact under unchanged channel
-  // state, and every state change resets the memo, so skipping straight
-  // to the minimum cannot miss an issue. The refresh retry always covers
-  // the nearest future due (dues recede forever), keeping this finite.
+  const bool issued = TryRequests(channel_index, now, request_retry);
+  // Every stage's retry is exact under unchanged channel state, and every
+  // state change lowers or resets the memo, so skipping straight to the
+  // minimum cannot miss an issue. After a request issue the refresh and
+  // internal-op retries still hold: TryRequests falls back to a rescan
+  // whenever a slot drains by the next cycle or internal ops wait. The
+  // refresh retry always covers the nearest future due (dues recede
+  // forever), keeping this finite.
   channel.next_try = std::max(std::min({refresh_retry, internal_retry, request_retry}), now + 1);
-  return false;
+  return issued;
+}
+
+void MemoryController::FoldThrottleStalls(ChannelState& channel, Cycle now) {
+  if (now > channel.throttle_from) {
+    c_throttle_stalls_->Add(uint64_t{channel.throttled_heads} * (now - channel.throttle_from));
+    channel.throttle_from = now;
+  }
+}
+
+void MemoryController::SyncThrottleStalls(Cycle now) {
+  for (ChannelState& channel : channels_) {
+    FoldThrottleStalls(channel, now);
+  }
 }
 
 bool MemoryController::TryRefreshManager(uint32_t channel_index, Cycle now, Cycle& retry) {
@@ -418,34 +452,43 @@ bool MemoryController::TryInternalOps(uint32_t channel_index, Cycle now, Cycle& 
   return false;
 }
 
+uint64_t MemoryController::DrainingSlots(const ChannelState& channel, Cycle at,
+                                         Cycle* next_due) const {
+  // Starting new row activity in a slot with an overdue REF would starve
+  // the refresh manager (and eventually retention). Without per-bank
+  // refresh a due rank drains every bank it has.
+  const bool per_bank = dram_config_.retention.per_bank_refresh;
+  const uint32_t banks = dram_config_.org.banks;
+  uint64_t draining = 0;
+  for (uint32_t i = 0; i < channel.ref_due.size(); ++i) {
+    if (at >= channel.ref_due[i]) {
+      draining |= per_bank ? 1ull << i : rank_bank_mask_ << (i * banks);
+    } else if (next_due != nullptr) {
+      *next_due = std::min(*next_due, channel.ref_due[i]);
+    }
+  }
+  return draining;
+}
+
 bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& retry) {
   ChannelState& channel = channels_[channel_index];
   if (channel.occupied == 0) {
-    return false;  // retry stays kNeverCycle: an enqueue resets the memo.
+    return false;  // retry stays kNeverCycle: an enqueue sets the memo.
   }
   if (now < channel.next_sched) {
-    // Memoized from the last failed scan: channel state is unchanged
-    // (every mutation resets next_sched) and no blocked command becomes
-    // legal before next_sched, so the scan below would fail identically.
+    // Memoized: channel state is unchanged since next_sched was derived
+    // (every mutation lowers or resets it), so a scan would fail
+    // identically and meet the same throttled heads; count them here.
+    FoldThrottleStalls(channel, now + 1);
     retry = channel.next_sched;
-    ReportDecision(channel_index, now, {.memoized = true, .retry = retry});
+    ReportDecision(channel_index, now,
+                   {.memoized = true, .retry = retry, .throttle_stalls = channel.throttled_heads});
     return false;
   }
   DramDevice& device = *devices_[channel_index];
   std::vector<PendingRequest>& slab = channel.slab;
   const uint32_t banks = dram_config_.org.banks;
-
-  // Slots (rank * banks + bank) with an overdue REF are draining:
-  // starting new row activity there would starve the refresh manager (and
-  // eventually retention). Without per-bank refresh a due rank drains
-  // every bank it has.
-  const bool per_bank = dram_config_.retention.per_bank_refresh;
-  uint64_t draining = 0;
-  for (uint32_t i = 0; i < channel.ref_due.size(); ++i) {
-    if (now >= channel.ref_due[i]) {
-      draining |= per_bank ? 1ull << i : rank_bank_mask_ << (i * banks);
-    }
-  }
+  const uint64_t draining = DrainingSlots(channel, now);
   uint64_t open = 0;
   for (uint32_t rank = 0; rank < dram_config_.org.ranks; ++rank) {
     open |= device.OpenBankMask(rank) << (rank * banks);
@@ -456,8 +499,6 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
   uint32_t pick = kNil;
   uint64_t pick_seq = ~0ull;
   DdrCommand pick_cmd;
-  // Earliest cycle any candidate blocked purely by timing becomes legal.
-  Cycle block = kNeverCycle;
 
   // Pass 1 (FR): oldest row hit whose RD/WR is legal now.
   const bool ap = !config_.open_page;  // Closed-page: auto-precharge.
@@ -482,8 +523,6 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
         pick = hit;
         pick_seq = pending.seq;
         pick_cmd = cmd;
-      } else {
-        block = std::min(block, device.EarliestCycle(cmd));
       }
     }
   }
@@ -495,7 +534,7 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
       c_row_hits_->Increment();  // Served without its own ACT.
     }
     IssueRequestAccess(channel_index, pick, now);
-    channel.next_sched = 0;
+    retry = MemoAfterIssue(channel_index, now);
     return true;
   }
 
@@ -513,15 +552,12 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
     }
     heads[k] = head;
   }
-  // ActAllowedAt counts throttle events per scanned cycle, so a scan that
-  // saw a throttled head must rerun every cycle to stay exact.
-  uint64_t throttle_stalls = 0;
+  uint32_t throttle_stalls = 0;
   for (uint32_t k = 0; k < head_count; ++k) {
     const PendingRequest& pending = slab[heads[k]];
     if (mitigation_ != nullptr &&
         mitigation_->ActAllowedAt(pending.coord.rank, pending.coord.bank, pending.coord.row,
                                   now) > now) {
-      c_throttle_stalls_->Increment();
       ++throttle_stalls;
       continue;
     }
@@ -533,8 +569,8 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
       pick_cmd = act;
       break;
     }
-    block = std::min(block, device.EarliestCycle(act));
   }
+  c_throttle_stalls_->Add(throttle_stalls);
   if (pick != kNil) {
     ReportDecision(channel_index, now,
                    {.issued = true,
@@ -550,7 +586,7 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
     act_counters_[channel_index]->OnActivate(pending.request.addr, pending.request.domain,
                                              pending.request.is_dma, now);
     NotifyMitigationActivate(pending.coord, now);
-    channel.next_sched = 0;
+    retry = MemoAfterIssue(channel_index, now);
     return true;
   }
 
@@ -569,8 +605,6 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
       pick = channel.banks[slot].head;
       pick_seq = head.seq;
       pick_cmd = pre;
-    } else {
-      block = std::min(block, device.EarliestCycle(pre));
     }
   }
   if (pick != kNil) {
@@ -584,17 +618,103 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
       c_row_conflicts_->Increment();
       slab[pick].counted = true;
     }
-    channel.next_sched = 0;
+    retry = MemoAfterIssue(channel_index, now);
     return true;
   }
-  // Nothing issued. Candidates filtered for non-timing reasons (draining
-  // slots, claimed banks, a head pinning its open row) can only unblock
-  // via a state change, which resets next_sched; timing-blocked
-  // candidates unblock at `block`.
-  channel.next_sched = throttle_stalls != 0 ? now + 1 : std::max(block, now + 1);
+  // Nothing issued: every candidate is timing-blocked or throttled, and
+  // the scan met every throttled head. Candidates filtered for non-timing
+  // reasons (draining slots, claimed banks, a head pinning its open row)
+  // can only unblock via a state change, which lowers or resets the memo.
+  const RequestOutlook outlook = ProbeRequests(channel_index, now);
+  channel.next_sched = std::max(outlook.earliest, now + 1);
+  channel.throttled_heads = outlook.throttled;
+  channel.throttle_from = now + 1;
   retry = channel.next_sched;
   ReportDecision(channel_index, now, {.retry = retry, .throttle_stalls = throttle_stalls});
   return false;
+}
+
+MemoryController::RequestOutlook MemoryController::ProbeRequests(uint32_t channel_index,
+                                                                 Cycle from) {
+  ChannelState& channel = channels_[channel_index];
+  const DramDevice& device = *devices_[channel_index];
+  const std::vector<PendingRequest>& slab = channel.slab;
+  const uint32_t banks = dram_config_.org.banks;
+  Cycle next_due = kNeverCycle;
+  const uint64_t draining = DrainingSlots(channel, from, &next_due);
+  uint64_t open = 0;
+  for (uint32_t rank = 0; rank < dram_config_.org.ranks; ++rank) {
+    open |= device.OpenBankMask(rank) << (rank * banks);
+  }
+  const uint64_t ready = channel.occupied & ~draining;
+  RequestOutlook outlook;
+  Cycle& earliest = outlook.earliest;
+  const bool ap = !config_.open_page;
+  // Pass 1 candidates: each open bank's oldest read hit and write hit.
+  for (uint64_t m = ready & open; m != 0; m &= m - 1) {
+    const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(m));
+    const uint32_t rank = slot / banks;
+    const uint32_t bank = slot % banks;
+    BankQueue& queue = channel.banks[slot];
+    const uint32_t open_row = *device.OpenRow(rank, bank);
+    if (queue.hit_row != open_row) {
+      FindHits(channel, queue, open_row);
+    }
+    if (queue.hits[0] != kNil) {
+      earliest = std::min(earliest, device.EarliestCycle(DdrCommand::Rd(
+                                        rank, bank, slab[queue.hits[0]].coord.column, ap)));
+    }
+    if (queue.hits[1] != kNil) {
+      earliest = std::min(earliest, device.EarliestCycle(DdrCommand::Wr(
+                                        rank, bank, slab[queue.hits[1]].coord.column, ap)));
+    }
+  }
+  // Pass 2 candidates: closed banks' heads, unless throttled; a throttled
+  // head counts and is released at the cycle the mitigation names.
+  for (uint64_t m = ready & ~open; m != 0; m &= m - 1) {
+    const DdrCoord& coord = slab[channel.banks[__builtin_ctzll(m)].head].coord;
+    if (mitigation_ != nullptr) {
+      const Cycle allowed = mitigation_->ActAllowedAt(coord.rank, coord.bank, coord.row, from);
+      if (allowed > from) {
+        ++outlook.throttled;
+        earliest = std::min(earliest, allowed);
+        continue;
+      }
+    }
+    earliest =
+        std::min(earliest, device.EarliestCycle(DdrCommand::Act(coord.rank, coord.bank, coord.row)));
+  }
+  // Pass 3 candidates: open banks' heads that miss the open row.
+  for (uint64_t m = channel.occupied & open; m != 0; m &= m - 1) {
+    const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(m));
+    const uint32_t rank = slot / banks;
+    const uint32_t bank = slot % banks;
+    if (slab[channel.banks[slot].head].coord.row != *device.OpenRow(rank, bank)) {
+      earliest = std::min(earliest, device.EarliestCycle(DdrCommand::Pre(rank, bank)));
+    }
+  }
+  // A slot that starts draining drops its throttled head from the count.
+  if (outlook.throttled != 0) {
+    earliest = std::min(earliest, next_due);
+  }
+  earliest = std::max(earliest, from);
+  return outlook;
+}
+
+Cycle MemoryController::MemoAfterIssue(uint32_t channel_index, Cycle now) {
+  ChannelState& channel = channels_[channel_index];
+  bool rescan = !channel.internal_ops.empty();
+  for (const Cycle due : channel.ref_due) {
+    rescan |= due <= now + 1;
+  }
+  if (rescan) {
+    channel.throttled_heads = 0;
+    return channel.next_sched = 0;
+  }
+  const RequestOutlook outlook = ProbeRequests(channel_index, now + 1);
+  channel.throttled_heads = outlook.throttled;
+  channel.throttle_from = now + 1;
+  return channel.next_sched = outlook.earliest;
 }
 
 void MemoryController::FindHits(const ChannelState& channel, BankQueue& bank, uint32_t row) {

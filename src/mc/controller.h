@@ -57,11 +57,12 @@ struct McConfig {
   // Blast radius software/mitigations assume when refreshing neighbours.
   // 0 = use the device's true radius (perfectly calibrated defense).
   uint32_t assumed_blast_radius = 0;
-  // Event-driven busy-phase scheduling: each failed channel scan reports
-  // the exact earliest cycle it could issue, NextWake returns that cycle
-  // instead of `now`, and Tick memo-skips channels before it. Produces
-  // bit-identical command streams and stats (scheduler telemetry aside);
-  // disable to cross-check or to measure the per-cycle baseline.
+  // Event-driven busy-phase scheduling: each channel keeps the exact
+  // earliest cycle any scheduling stage could issue (after failed scans
+  // and after issues alike), NextWake returns that cycle instead of
+  // `now`, and Tick skips channels before it. Produces bit-identical
+  // command streams and stats (scheduler telemetry aside); disable to
+  // cross-check or to measure the per-cycle baseline.
   bool event_driven = true;
 };
 
@@ -101,6 +102,13 @@ class MemoryController {
   // act.table_probes. Idempotent; the stats() accessors call it, so
   // readers always see fresh values.
   void SyncTelemetry();
+
+  // Counts into mc.throttle_stalls every cycle before `now` on which a
+  // scan would have met throttled heads but the scheduling memo let the
+  // channel sleep instead. Idempotent; call it with the current cycle
+  // before reading that stat mid-run (System does, wherever it syncs
+  // telemetry and at the end of each run).
+  void SyncThrottleStalls(Cycle now);
 
   // Outstanding work (queued requests, internal ops, in-flight reads).
   bool Idle() const;
@@ -247,25 +255,34 @@ class MemoryController {
     std::deque<InternalOp> internal_ops;
     std::vector<Cycle> ref_due;  // Per rank.
     std::priority_queue<InFlightRead, std::vector<InFlightRead>, std::greater<>> in_flight;
-    // Scheduler memo: TryRequests provably cannot issue before this cycle
-    // unless channel state changes first. Every event that could change a
-    // scan's outcome (enqueue, any DDR command issued on the channel,
-    // mitigation epoch) resets it to 0, forcing a fresh scan.
-    Cycle next_sched = 0;
+    // Scheduler memo: the earliest cycle TryRequests can issue given the
+    // current state (kNeverCycle with an empty queue), and on every cycle
+    // before it a scan would fail with the same throttle count. A failed
+    // scan and a request issue derive it (ProbeRequests); an enqueue
+    // lowers it by the newcomer's own command; a REF, an internal-op
+    // command or a mitigation epoch resets it to 0, forcing a fresh scan.
+    Cycle next_sched = kNeverCycle;
     // Whole-channel memo: no scheduling stage (refresh manager, internal
     // ops, requests) can issue strictly before this cycle unless channel
-    // state changes first. Reset to 0 by the same events as next_sched
-    // plus internal-op pushes. Event-driven mode gates TickChannel on it
-    // and NextWake reports it; legacy mode ignores it.
+    // state changes first. Lowered with next_sched and reset to 0 by the
+    // same events plus internal-op pushes. Event-driven mode gates
+    // TickChannel on it and NextWake reports it; legacy mode ignores it.
     Cycle next_try = 0;
+    // Open throttle-stall interval: each cycle from `throttle_from` on
+    // that a memoized call stands in for a scan met `throttled_heads`
+    // throttled heads. FoldThrottleStalls counts them into
+    // mc.throttle_stalls, so the stat stays exact per cycle.
+    uint32_t throttled_heads = 0;
+    Cycle throttle_from = 0;
   };
 
   // One scheduling step for a channel; issues at most one command.
   // Returns true iff a command issued.
   bool TickChannel(uint32_t channel, Cycle now);
-  // Each stage returns true iff it issued a command. On false, `retry` is
-  // lowered to the earliest cycle the stage could act given unchanged
-  // channel state (kNeverCycle when only a state change can unblock it).
+  // Each stage returns true iff it issued a command. `retry` is lowered to
+  // the earliest cycle the stage could act next given unchanged channel
+  // state (kNeverCycle when only a state change can unblock it); after an
+  // issue only TryRequests sets it.
   bool TryRefreshManager(uint32_t channel, Cycle now, Cycle& retry);
   bool TryInternalOps(uint32_t channel, Cycle now, Cycle& retry);
   // FR-FCFS over the bank lists, in three passes: (1) the oldest row hit
@@ -274,8 +291,31 @@ class MemoryController {
   // the open row, whose PRE is legal. Passes 1 and 2 skip draining
   // slots. RD/WR/ACT/PRE legality depends only on (command, rank, bank),
   // so each bank contributes at most its oldest read hit and oldest
-  // write hit to pass 1 and only its head to passes 2 and 3.
+  // write hit to pass 1 and only its head to passes 2 and 3. Both after a
+  // failed scan and after an issue it re-derives next_sched and the
+  // throttle interval from ProbeRequests.
   bool TryRequests(uint32_t channel, Cycle now, Cycle& retry);
+  // What the three passes would see from cycle `from` on with no state
+  // change: the earliest cycle >= `from` at which any candidate's command
+  // is legal, or a throttled head is released, or (with a throttled head)
+  // the next slot starts draining; and the number of throttled heads.
+  // Changes no stat and no mitigation state (only the pass-1 hit memo).
+  struct RequestOutlook {
+    Cycle earliest = kNeverCycle;
+    uint32_t throttled = 0;
+  };
+  RequestOutlook ProbeRequests(uint32_t channel, Cycle from);
+  // Slots (rank * banks + bank) draining for an overdue REF at `at`; the
+  // earliest due after `at` is folded into `next_due` when given.
+  uint64_t DrainingSlots(const ChannelState& channel, Cycle at,
+                         Cycle* next_due = nullptr) const;
+  // Sets and returns next_sched after a request command issued at `now`:
+  // derived from ProbeRequests(now + 1), or 0 (rescan next cycle) when a
+  // slot drains by then or internal ops wait, since either can change
+  // what the other stages do.
+  Cycle MemoAfterIssue(uint32_t channel, Cycle now);
+  // Counts the open throttle interval up to (not including) `now`.
+  void FoldThrottleStalls(ChannelState& channel, Cycle now);
   // Recomputes `bank`'s pass-1 memo for open row `row`.
   static void FindHits(const ChannelState& channel, BankQueue& bank, uint32_t row);
   // Unlinks slab entry `index` and performs the access its RD/WR just

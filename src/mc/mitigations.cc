@@ -212,16 +212,8 @@ void BlockHammerMitigation::OnActivate(uint32_t rank, uint32_t bank, uint32_t ro
   }
 }
 
-Cycle BlockHammerMitigation::ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) {
-  const Cycle allowed = PeekActAllowedAt(rank, bank, row, now);
-  if (allowed > now) {
-    ++throttled_;
-  }
-  return allowed;
-}
-
-Cycle BlockHammerMitigation::PeekActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row,
-                                              Cycle now) const {
+Cycle BlockHammerMitigation::ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row,
+                                          Cycle now) const {
   const BankFilter& filter = filters_[static_cast<size_t>(rank) * org_.banks + bank];
   if (MinCount(filter, row) < blacklist_threshold_) {
     return now;

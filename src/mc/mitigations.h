@@ -53,15 +53,11 @@ class McMitigation {
 
   // Scheduling gate: the earliest cycle an ACT of `row` may issue.
   // Returning `now` means unthrottled. Only BlockHammer throttles. The
-  // controller calls this once per ACT candidate it examines; a mitigation
-  // may count the throttled answers.
-  virtual Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) {
-    return PeekActAllowedAt(rank, bank, row, now);
-  }
-
-  // The same answer as ActAllowedAt without counting anything, for
-  // observers that must not perturb the run (the reference scheduler).
-  virtual Cycle PeekActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) const {
+  // answer may depend only on `now` and on state that OnActivate/OnEpoch
+  // change, and a throttle holds until the returned cycle: the controller
+  // sleeps a throttled head until then and counts its stall cycles
+  // without asking again (DESIGN.md §8).
+  virtual Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) const {
     (void)rank;
     (void)bank;
     (void)row;
@@ -209,11 +205,9 @@ class BlockHammerMitigation : public McMitigation {
   std::string name() const override { return "blockhammer"; }
   void OnActivate(uint32_t rank, uint32_t bank, uint32_t row, Cycle now,
                   std::vector<NeighborRefreshRequest>& out) override;
-  Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) override;
-  Cycle PeekActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) const override;
+  Cycle ActAllowedAt(uint32_t rank, uint32_t bank, uint32_t row, Cycle now) const override;
   void OnEpoch(Cycle now) override;
   uint64_t SramBits() const override;
-  uint64_t throttled_acts() const { return throttled_; }
 
  private:
   struct BankFilter {
@@ -232,7 +226,6 @@ class BlockHammerMitigation : public McMitigation {
   Cycle throttle_delay_;
   std::vector<BankFilter> filters_;  // ranks * banks.
   uint64_t hash_seeds_[8];
-  uint64_t throttled_ = 0;
 };
 
 }  // namespace ht

@@ -140,7 +140,9 @@ void System::Step(Cycle end) {
   if (now_ >= sample_next_) [[unlikely]] {
     // Stamped at the boundary cycle even if ticking overshot it (cannot
     // happen while NextWakeCycle includes sample_next_, but stay exact).
-    mc_->SyncTelemetry();  // The sampler reads the MC StatSet directly.
+    // The sampler reads the MC StatSet directly.
+    mc_->SyncTelemetry();
+    mc_->SyncThrottleStalls(now_);
     while (now_ >= sample_next_) {
       sampler_.Sample(sample_next_);
       sample_next_ += sampler_.period();
@@ -174,6 +176,7 @@ void System::RunFor(Cycle cycles) {
   while (now_ < end) {
     Step(end);
   }
+  mc_->SyncThrottleStalls(now_);
 }
 
 void System::RunUntilQuiesced(Cycle max_cycles) {
@@ -187,10 +190,11 @@ void System::RunUntilQuiesced(Cycle max_cycles) {
       }
     }
     if (all_halted && mc_->Idle()) {
-      return;
+      break;
     }
     Step(end);
   }
+  mc_->SyncThrottleStalls(now_);
 }
 
 void System::DrainCaches() {
@@ -227,13 +231,14 @@ double System::P99ReadLatency() const {
 }
 
 StatSet System::CollectStats() const {
-  // Fold lazily-accounted telemetry (open stall intervals, mitigation
-  // table probes) into the component stat sets before merging. Both are
-  // idempotent, so repeated collection stays exact.
+  // Fold lazily-accounted telemetry (open stall and throttle intervals,
+  // mitigation table probes) into the component stat sets before merging.
+  // All are idempotent, so repeated collection stays exact.
   for (const auto& core : cores_) {
     core->SyncStallStats(now_);
   }
   mc_->SyncTelemetry();
+  mc_->SyncThrottleStalls(now_);
   StatSet merged;
   merged.MergeFrom(mc_->stats());
   for (uint32_t c = 0; c < mc_->channels(); ++c) {

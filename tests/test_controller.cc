@@ -318,7 +318,7 @@ class RowThrottle : public McMitigation {
   std::string name() const override { return "row-throttle"; }
   void OnActivate(uint32_t, uint32_t, uint32_t, Cycle,
                   std::vector<NeighborRefreshRequest>&) override {}
-  Cycle PeekActAllowedAt(uint32_t, uint32_t, uint32_t row, Cycle now) const override {
+  Cycle ActAllowedAt(uint32_t, uint32_t, uint32_t row, Cycle now) const override {
     return row == row_ && now < until_ ? until_ : now;
   }
   uint64_t SramBits() const override { return 0; }
@@ -386,25 +386,48 @@ TEST_F(FrFcfsRuleTest, RowHitBeatsOlderMiss) {
 }
 
 TEST_F(FrFcfsRuleTest, OnlyOldestRequestMayActivateItsBank) {
-  mc_->InstallMitigation(std::make_unique<RowThrottle>(7, 300));
-  now_ = 100;
-  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 7)), now_));  // seq 0: throttled until 300.
-  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 8)), now_));  // seq 1: same bank, unthrottled.
-  while (now_ < 300) {
-    const std::optional<ScheduleDecision> decision = TickOnce();
-    ASSERT_TRUE(decision.has_value());
-    ASSERT_FALSE(decision->issued) << "cycle " << now_ - 1;  // Bank 0 is claimed by seq 0.
-    EXPECT_EQ(decision->throttle_stalls, 1u);
+  for (const bool event_driven : {true, false}) {
+    SCOPED_TRACE(event_driven ? "event-driven" : "per-cycle");
+    McConfig mc_config;
+    mc_config.event_driven = event_driven;
+    Rebuild(DramConfig::SimDefault(), mc_config);
+    mc_->InstallMitigation(std::make_unique<RowThrottle>(7, 300));
+    now_ = 100;
+    ASSERT_TRUE(mc_->Enqueue(Read(At(0, 7)), now_));  // seq 0: throttled until 300.
+    ASSERT_TRUE(mc_->Enqueue(Read(At(0, 8)), now_));  // seq 1: same bank, unthrottled.
+    // Bank 0 is claimed by seq 0, so nothing may issue; the retry is the
+    // throttle's release cycle.
+    const std::optional<ScheduleDecision> stall = TickOnce();
+    ASSERT_TRUE(stall.has_value());
+    EXPECT_FALSE(stall->issued);
+    EXPECT_EQ(stall->throttle_stalls, 1u);
+    EXPECT_EQ(stall->retry, 300u);
+    while (now_ < 300) {
+      // The event-driven channel sleeps; the per-cycle one asks the memo,
+      // which reports the throttled head it stands in for.
+      const std::optional<ScheduleDecision> decision = TickOnce();
+      if (event_driven) {
+        ASSERT_FALSE(decision.has_value()) << "cycle " << now_ - 1;
+      } else {
+        ASSERT_TRUE(decision.has_value() && decision->memoized) << "cycle " << now_ - 1;
+        EXPECT_EQ(decision->throttle_stalls, 1u);
+        EXPECT_EQ(decision->retry, 300u);
+      }
+    }
+    EXPECT_FALSE(mc_->device(0).OpenRow(0, 0).has_value());
+    // Still one stall per cycle, 100 to 299.
+    mc_->SyncThrottleStalls(now_);
+    EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 200u);
+    const std::optional<ScheduleDecision> act = TickOnce();
+    ASSERT_TRUE(act.has_value() && act->issued);
+    EXPECT_EQ(act->command, DdrCommandType::kActivate);
+    EXPECT_EQ(act->seq, 0u);
+    EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 200u);
+    RunFor(400);
+    ASSERT_EQ(responses_.size(), 2u);
+    EXPECT_EQ(responses_[0].addr, At(0, 7));
+    EXPECT_TRUE(checker_->oracle().ok()) << checker_->oracle().Report();  // Rebuild replaces it.
   }
-  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 200u);
-  EXPECT_FALSE(mc_->device(0).OpenRow(0, 0).has_value());
-  const std::optional<ScheduleDecision> act = TickOnce();
-  ASSERT_TRUE(act.has_value() && act->issued);
-  EXPECT_EQ(act->command, DdrCommandType::kActivate);
-  EXPECT_EQ(act->seq, 0u);
-  RunFor(400);
-  ASSERT_EQ(responses_.size(), 2u);
-  EXPECT_EQ(responses_[0].addr, At(0, 7));
 }
 
 TEST_F(FrFcfsRuleTest, NoPrechargeWhileOlderRequestWantsOpenRow) {
@@ -482,14 +505,95 @@ TEST_F(FrFcfsRuleTest, ThrottledHeadCountedOncePerScanYoungerHeadStillActs) {
   EXPECT_EQ(act->seq, 1u);
   EXPECT_EQ(act->throttle_stalls, 1u);
   EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 1u);
-  // Bank 1's RD waits for tRCD; the throttled head is asked again, and
-  // counted again, on every scan until then.
-  const std::optional<ScheduleDecision> wait = TickOnce();
-  ASSERT_TRUE(wait.has_value());
-  EXPECT_FALSE(wait->issued);
-  EXPECT_EQ(wait->throttle_stalls, 1u);
-  EXPECT_EQ(wait->retry, now_);
-  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 2u);
+  // Bank 1's RD waits for tRCD and nothing else can issue first, so the
+  // next scan is the one that issues it. The throttled head is still
+  // counted on every cycle before; the RD's scan wins in pass 1 and never
+  // asks the throttle.
+  const Cycle rd_at = mc_->device(0).EarliestCycle(DdrCommand::Rd(0, 1, 0, false));
+  ASSERT_GT(rd_at, now_);
+  std::optional<ScheduleDecision> rd;
+  while (!rd.has_value() && now_ <= rd_at) {
+    rd = TickOnce();
+  }
+  ASSERT_TRUE(rd.has_value() && rd->issued);
+  EXPECT_EQ(now_ - 1, rd_at);
+  EXPECT_EQ(rd->command, DdrCommandType::kRead);
+  EXPECT_EQ(rd->seq, 1u);
+  EXPECT_EQ(rd->throttle_stalls, 0u);
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), rd_at - 100);
+}
+
+TEST_F(FrFcfsRuleTest, ThrottledHeadStopsCountingWhileItsRankDrains) {
+  mc_->InstallMitigation(std::make_unique<RowThrottle>(7, kNeverCycle));
+  const Cycle due = mc_->RefreshDue(0)[0];
+  now_ = due - 20;
+  Direct(DdrCommand::Act(0, 1, 6), now_);  // Its tRAS keeps PREA illegal at `due`.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 7)), now_));  // Throttled head of closed bank 0.
+  const std::optional<ScheduleDecision> stall = TickOnce();
+  ASSERT_TRUE(stall.has_value());
+  EXPECT_FALSE(stall->issued);
+  EXPECT_EQ(stall->throttle_stalls, 1u);
+  // The throttle never releases, but the rank starts draining at `due`,
+  // which drops the head from pass 2: the memo must end there.
+  EXPECT_EQ(stall->retry, due);
+  RunFor(19);
+  ASSERT_EQ(now_, due);
+  ASSERT_FALSE(Legal(DdrCommand::PreAll(0)));
+  while (mc_->stats().Get("mc.refs_issued") == 0) {
+    ASSERT_LT(now_, due + 200);
+    const std::optional<ScheduleDecision> decision = TickOnce();
+    if (decision.has_value()) {
+      EXPECT_EQ(decision->throttle_stalls, 0u) << "cycle " << now_ - 1;
+    }
+  }
+  // Counted on cycles due-20 .. due-1 only.
+  mc_->SyncThrottleStalls(now_);
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 20u);
+  // After the REF the rank serves again and the head counts again.
+  RunFor(10);
+  mc_->SyncThrottleStalls(now_);
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 30u);
+}
+
+TEST_F(FrFcfsRuleTest, OpenRowEnqueueIntoMemoizedChannelIssuesAfterOneScan) {
+  mc_->InstallMitigation(std::make_unique<RowThrottle>(7, kNeverCycle));
+  now_ = 100;
+  Direct(DdrCommand::Act(0, 1, 5), 90);
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 7)), now_));  // seq 0: throttled head.
+  const std::optional<ScheduleDecision> stall = TickOnce();
+  ASSERT_TRUE(stall.has_value());
+  EXPECT_FALSE(stall->issued);
+  EXPECT_EQ(stall->retry, mc_->RefreshDue(0)[0]);  // Only the next REF due ends it.
+  // seq 1 hits bank 1's open row, but its RD waits for tRCD: the enqueue
+  // lowers the memo to exactly that cycle.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(1, 5, 2)), now_));
+  const Cycle rd_at = mc_->device(0).EarliestCycle(DdrCommand::Rd(0, 1, 2, false));
+  ASSERT_GT(rd_at, now_);
+  const size_t decisions = checker_->log.size();
+  RunFor(rd_at - now_ + 1);
+  ASSERT_EQ(checker_->log.size(), decisions + 1);
+  const ScheduleDecision& rd = checker_->log.back();
+  ASSERT_TRUE(rd.issued);
+  EXPECT_EQ(rd.command, DdrCommandType::kRead);
+  EXPECT_EQ(rd.seq, 1u);
+  EXPECT_EQ(responses_.size(), 0u);  // Still in flight.
+  EXPECT_EQ(mc_->stats().Get("mc.reads_done"), 1u);
+}
+
+TEST_F(FrFcfsRuleTest, EnqueuedClosedBankHeadIsScannedWhileMitigated) {
+  mc_->InstallMitigation(std::make_unique<RowThrottle>(7, kNeverCycle));
+  Direct(DdrCommand::Act(0, 1, 5), 95);
+  now_ = 100;
+  ASSERT_FALSE(Legal(DdrCommand::Act(0, 0, 7)));  // tRRD after bank 1's ACT.
+  // A new closed-bank head may be throttled, which its ACT's timing alone
+  // cannot tell: the next tick must scan and count it.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 7)), now_));
+  const std::optional<ScheduleDecision> stall = TickOnce();
+  ASSERT_TRUE(stall.has_value());
+  EXPECT_FALSE(stall->memoized);
+  EXPECT_FALSE(stall->issued);
+  EXPECT_EQ(stall->throttle_stalls, 1u);
+  EXPECT_EQ(mc_->stats().Get("mc.throttle_stalls"), 1u);
 }
 
 TEST_F(FrFcfsRuleTest, OldestLegalHitWinsWhenReadAndWriteLegalityDiffer) {

@@ -5,6 +5,7 @@
 // mode, with the scheduler's own telemetry the lone permitted difference.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "attack/planner.h"
 #include "mc/controller.h"
 #include "mc/mitigations.h"
+#include "sim/runner/runner.h"
 #include "sim/scenario.h"
 #include "sim/system.h"
 #include "sim/workloads.h"
@@ -128,6 +130,73 @@ TEST(EventScheduling, MatchesLegacyUnderBlockHammerThrottle) {
 
 TEST(EventScheduling, MatchesLegacyUnderGrapheneWithPerBankRefresh) {
   ExpectVariantsMatch(Hw::kGraphene, true, 450000);
+}
+
+struct ThrottledDmaRun {
+  ScenarioResult result;  // Read right after RunFor, before CollectStats.
+  StatSet stats;
+  std::map<std::string, std::vector<double>> series;  // Sampler series.
+};
+
+// A DMA attack under BlockHammer: the queue stays deep behind throttled
+// heads. `fast` selects skip-idle event-driven scheduling, otherwise the
+// per-cycle legacy paths that never skip a cycle.
+ThrottledDmaRun RunThrottledDma(bool fast, Cycle sample_every) {
+  ScenarioSpec spec;
+  spec.attack = AttackKind::kDma;
+  spec.hw = HwMitigationKind::kBlockHammer;
+  spec.run_cycles = 300000;
+  spec.pages_per_tenant = 128;
+  spec.system.skip_idle = fast;
+  spec.system.mc.event_driven = fast;
+  spec.system.core.event_driven = fast;
+  spec.system.telemetry.sample_every = sample_every;
+  ThrottledDmaRun run;
+  ScenarioHooks hooks;
+  hooks.on_finish = [&](System& system) {
+    run.stats = system.CollectStats();
+    run.series = system.sampler().AlignedSeries();
+  };
+  run.result = RunScenario(spec, nullptr, &hooks);
+  return run;
+}
+
+// The scheduling memo sleeps through every cycle on which a scan could
+// not issue, after failed scans and issues alike, so nearly every
+// scheduling scan issues a DRAM command.
+TEST(EventScheduling, ThrottledDmaScansAboutOncePerCommand) {
+  const ThrottledDmaRun run = RunThrottledDma(true, 0);
+  EXPECT_GT(run.stats.Get("mc.throttle_stalls"), 0u);
+  uint64_t commands = 0;
+  for (const char* name : {"dram.acts", "dram.pres", "dram.preas", "dram.reads", "dram.writes",
+                           "dram.refs", "dram.refs_sb", "dram.ref_neighbors"}) {
+    commands += run.stats.Get(name);
+  }
+  ASSERT_GT(commands, 10000u);
+  EXPECT_LE(run.stats.Get("mc.wake_batches"), commands * 105 / 100)
+      << commands << " DRAM commands";
+}
+
+// Mid-run readers see exact throttle stalls too: the sampler's series
+// (stats every 4096 cycles, throttle stalls included) and the result read
+// at the end of the run match between a run whose channels sleep behind
+// throttled heads and one that scans every cycle.
+TEST(EventScheduling, SampledSeriesMatchPerCycleRunUnderBlockHammerThrottle) {
+  const ThrottledDmaRun fast = RunThrottledDma(true, 4096);
+  const ThrottledDmaRun slow = RunThrottledDma(false, 4096);
+  ASSERT_GT(fast.stats.Get("mc.throttle_stalls"), 0u);
+  EXPECT_EQ(fast.result.throttle_stalls, slow.result.throttle_stalls);
+  ExpectStatsIdentical(fast.stats, slow.stats);
+  ASSERT_EQ(fast.series.size(), slow.series.size());
+  for (const auto& [name, values] : fast.series) {
+    if (name.starts_with("mc.wake_batches") || name.starts_with("mc.cmds_per_wake")) {
+      continue;
+    }
+    const auto other = slow.series.find(name);
+    ASSERT_NE(other, slow.series.end()) << name;
+    EXPECT_EQ(values, other->second) << "series " << name;
+  }
+  EXPECT_EQ(fast.series.at("mc.throttle_stalls").size(), 300000u / 4096);
 }
 
 TEST(EventScheduling, StallCountersSurviveRepeatedCollection) {

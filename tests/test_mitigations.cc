@@ -174,7 +174,12 @@ TEST(BlockHammer, ThrottlesBlacklistedRow) {
   const Cycle allowed = bh.ActAllowedAt(0, 0, 7, t);
   EXPECT_GT(allowed, t);
   EXPECT_LE(allowed, t + 500);
-  EXPECT_GT(bh.throttled_acts(), 0u);
+  // The throttle holds exactly throttle_delay past the row's last ACT, and
+  // the query is pure: asking again changes nothing, and the row is free
+  // at the cycle it names.
+  EXPECT_EQ(allowed, t - 60 + 500);
+  EXPECT_EQ(bh.ActAllowedAt(0, 0, 7, t), allowed);
+  EXPECT_EQ(bh.ActAllowedAt(0, 0, 7, allowed), allowed);
   EXPECT_TRUE(out.empty());  // BlockHammer never refreshes.
 }
 
