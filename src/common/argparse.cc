@@ -1,7 +1,11 @@
 #include "common/argparse.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace ht {
@@ -158,14 +162,38 @@ const std::string& ArgParser::Get(std::string_view name) const {
   return spec->set ? spec->value : spec->default_value;
 }
 
+void ArgParser::ExitBadValue(std::string_view name, std::string_view token,
+                             const char* want) const {
+  std::fprintf(stderr, "%s: error: bad --%.*s %.*s (want %s) (try --help)\n", program_.c_str(),
+               static_cast<int>(name.size()), name.data(), static_cast<int>(token.size()),
+               token.data(), want);
+  std::exit(2);
+}
+
+uint64_t ArgParser::ToUint(std::string_view name, std::string_view token) const {
+  uint64_t value = 0;
+  if (!ParseUintToken(token, &value)) {
+    ExitBadValue(name, token, "an unsigned integer, decimal or 0x hex");
+  }
+  return value;
+}
+
+int64_t ArgParser::ToInt(std::string_view name, std::string_view token) const {
+  int64_t value = 0;
+  if (!ParseIntToken(token, &value)) {
+    ExitBadValue(name, token, "an integer, decimal or 0x hex");
+  }
+  return value;
+}
+
 uint64_t ArgParser::GetUint(std::string_view name) const {
   const std::string& text = Get(name);
-  return text.empty() ? 0 : std::strtoull(text.c_str(), nullptr, 10);
+  return text.empty() ? 0 : ToUint(name, text);
 }
 
 int64_t ArgParser::GetInt(std::string_view name) const {
   const std::string& text = Get(name);
-  return text.empty() ? 0 : std::strtoll(text.c_str(), nullptr, 10);
+  return text.empty() ? 0 : ToInt(name, text);
 }
 
 std::vector<std::string> ArgParser::GetStrings(std::string_view name) const {
@@ -192,7 +220,7 @@ std::vector<std::string> ArgParser::GetStrings(std::string_view name) const {
 std::vector<uint64_t> ArgParser::GetUints(std::string_view name) const {
   std::vector<uint64_t> out;
   for (const std::string& item : GetStrings(name)) {
-    out.push_back(std::strtoull(item.c_str(), nullptr, 10));
+    out.push_back(ToUint(name, item));
   }
   return out;
 }
@@ -200,32 +228,66 @@ std::vector<uint64_t> ArgParser::GetUints(std::string_view name) const {
 std::vector<int64_t> ArgParser::GetInts(std::string_view name) const {
   std::vector<int64_t> out;
   for (const std::string& item : GetStrings(name)) {
-    out.push_back(std::strtoll(item.c_str(), nullptr, 10));
+    out.push_back(ToInt(name, item));
   }
   return out;
 }
 
+bool ParseUintToken(std::string_view text, uint64_t* out) {
+  int base = 10;
+  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+    text.remove_prefix(2);
+    base = 16;
+  }
+  // from_chars takes no sign, whitespace or prefix for an unsigned type.
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, base);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseIntToken(std::string_view text, int64_t* out) {
+  const bool negative = !text.empty() && text[0] == '-';
+  uint64_t magnitude = 0;
+  if (!ParseUintToken(negative ? text.substr(1) : text, &magnitude)) {
+    return false;
+  }
+  const uint64_t limit = static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
+  if (magnitude > limit + (negative ? 1 : 0)) {
+    return false;
+  }
+  *out = negative ? static_cast<int64_t>(0 - magnitude) : static_cast<int64_t>(magnitude);
+  return true;
+}
+
+bool ParseNumberToken(std::string_view text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseShard(std::string_view text, uint32_t* index, uint32_t* count) {
   const size_t slash = text.find('/');
-  if (slash == std::string_view::npos || slash == 0 || slash + 1 >= text.size()) {
+  if (slash == std::string_view::npos) {
     return false;
   }
-  const std::string k(text.substr(0, slash));
-  const std::string n(text.substr(slash + 1));
-  char* end = nullptr;
-  const unsigned long ki = std::strtoul(k.c_str(), &end, 10);
-  if (end != k.c_str() + k.size()) {
+  uint64_t k = 0;
+  uint64_t n = 0;
+  if (!ParseUintToken(text.substr(0, slash), &k) || !ParseUintToken(text.substr(slash + 1), &n) ||
+      n == 0 || k == 0 || k > n || n > std::numeric_limits<uint32_t>::max()) {
     return false;
   }
-  const unsigned long ni = std::strtoul(n.c_str(), &end, 10);
-  if (end != n.c_str() + n.size()) {
-    return false;
-  }
-  if (ni == 0 || ki == 0 || ki > ni) {
-    return false;
-  }
-  *index = static_cast<uint32_t>(ki);
-  *count = static_cast<uint32_t>(ni);
+  *index = static_cast<uint32_t>(k);
+  *count = static_cast<uint32_t>(n);
   return true;
 }
 

@@ -1,5 +1,5 @@
-// One flag parser for every hammertime executable (hammertime_cli,
-// hammerfuzz, hammersweep, trace_check, and the bench mains), so shared
+// One flag parser for the hammertime executables (hammertime_cli,
+// hammerfuzz, the campaign CLIs, and the bench mains), so shared
 // flags (--threads, --trace-out, --metrics-out, --sample-every, --shard,
 // --cache-dir, --resume) spell and behave identically everywhere.
 //
@@ -45,6 +45,10 @@ class ArgParser {
   bool GetBool(std::string_view name) const { return Has(name); }
   // Value if set, declared default otherwise.
   const std::string& Get(std::string_view name) const;
+  // Numeric accessors take tokens per ParseUintToken/ParseIntToken; an
+  // empty value reads as 0. Any other malformed value prints
+  // "<program>: error: bad --<name> <token> (...)" and exits with status 2,
+  // so no executable can silently run on a misread number.
   uint64_t GetUint(std::string_view name) const;
   int64_t GetInt(std::string_view name) const;
   // Comma-separated list forms ("a,b,c"); empty value = empty list.
@@ -70,6 +74,10 @@ class ArgParser {
   Spec* FindSpec(std::string_view name);
   const Spec* FindSpec(std::string_view name) const;
   bool Fail(std::string message);
+  [[noreturn]] void ExitBadValue(std::string_view name, std::string_view token,
+                                 const char* want) const;
+  uint64_t ToUint(std::string_view name, std::string_view token) const;
+  int64_t ToInt(std::string_view name, std::string_view token) const;
 
   std::string program_;
   std::string description_;
@@ -82,6 +90,15 @@ class ArgParser {
   bool allow_positionals_ = false;
   bool help_requested_ = false;
 };
+
+// Strict numeric tokens for command-line values. An unsigned integer is
+// a whole decimal (`42`) or `0x`/`0X` hex (`0x2a`) token with no sign,
+// whitespace or overflow; a signed one may add a leading '-'. A number is
+// a whole finite decimal floating-point token (`0.02`, `8e5`). Each
+// returns false on anything else without touching `out`.
+bool ParseUintToken(std::string_view text, uint64_t* out);
+bool ParseIntToken(std::string_view text, int64_t* out);
+bool ParseNumberToken(std::string_view text, double* out);
 
 // Parses a `k/n` shard designator (1 <= k <= n, n >= 1). Returns false on
 // malformed input without touching the outputs.

@@ -81,8 +81,6 @@ class HostKernel {
 
   DomainId OwnerOfFrame(uint64_t frame) const;
   DomainId OwnerOfPhys(PhysAddr addr) const { return OwnerOfFrame(addr / kPageBytes); }
-  // All currently mapped frames (patrol scrubbers iterate this).
-  const std::unordered_map<uint64_t, DomainId>& frame_owners() const { return frame_owner_; }
 
   // --- Golden data ----------------------------------------------------------
 

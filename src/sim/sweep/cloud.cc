@@ -20,22 +20,6 @@ std::vector<CloudDefenseFamily> BuildFamilyRegistry() {
   };
 }
 
-uint64_t FieldUint(const JsonValue& object, const char* name) {
-  const JsonValue* member = object.Find(name);
-  return (member != nullptr && member->is_number()) ? member->as_uint() : 0;
-}
-
-double FieldDouble(const JsonValue& object, const char* name) {
-  const JsonValue* member = object.Find(name);
-  return (member != nullptr && member->is_number()) ? member->as_double() : 0.0;
-}
-
-std::string FieldStr(const JsonValue& object, const char* name) {
-  const JsonValue* member = object.Find(name);
-  return (member != nullptr && member->type() == JsonValue::Type::kString) ? member->as_string()
-                                                                           : std::string();
-}
-
 bool FieldBool(const JsonValue& object, const char* name) {
   const JsonValue* member = object.Find(name);
   return member != nullptr && member->type() == JsonValue::Type::kBool && member->as_bool();
@@ -98,11 +82,11 @@ std::string CloudFamilyNameFor(const JsonValue& canonical_spec) {
 std::vector<SweepCellSpec> ExpandCloudGrid(const CloudCampaignGrid& grid) {
   const std::vector<CloudDefenseFamily>& families =
       grid.families.empty() ? AllCloudDefenseFamilies() : grid.families;
-  std::map<std::string, ScenarioSpec> cells;
+  std::vector<ScenarioSpec> specs;
   for (const CloudDefenseFamily& family : families) {
     for (const AttackKind attack : grid.attacks) {
       for (const uint64_t seed : grid.seeds) {
-        ScenarioSpec spec;
+        ScenarioSpec& spec = specs.emplace_back();
         ApplyCloudFamily(spec, family);
         spec.attack = attack;
         spec.pattern_seed = attack == AttackKind::kPattern ? seed : 0;
@@ -113,26 +97,14 @@ std::vector<SweepCellSpec> ExpandCloudGrid(const CloudCampaignGrid& grid) {
         spec.churn_rate = grid.churn_rate;
         spec.epochs = grid.epochs;
         spec.seed = seed;
-        cells.emplace(SweepKey(spec), spec);
       }
     }
   }
-  std::vector<SweepCellSpec> out;
-  out.reserve(cells.size());
-  for (auto& [key, spec] : cells) {  // std::map iterates in key order.
-    out.push_back(SweepCellSpec{key, spec});
-  }
-  return out;
-}
-
-SweepOutcome RunCloudCampaign(const CloudCampaignGrid& grid, const SweepOptions& options) {
-  return RunCells(ExpandCloudGrid(grid), options, MakeCloudReport, "hammercloud");
+  return KeyedCells(specs);
 }
 
 JsonValue MakeCloudReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
-  std::sort(cells.begin(), cells.end(), [](const JsonValue& a, const JsonValue& b) {
-    return a.Find("key")->as_string() < b.Find("key")->as_string();
-  });
+  JsonValue report = MakeCellReport(kCloudReportSchema, grid_cells, std::move(cells));
 
   // The ranking is derived from the (key-sorted) cells, so a shard merge
   // rebuilds it byte-identically: accumulation happens in key order.
@@ -146,7 +118,7 @@ JsonValue MakeCloudReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
     double ops_per_kcycle_sum = 0.0;
   };
   std::map<std::string, FamilyAggregate> families;
-  for (const JsonValue& cell : cells) {
+  for (const JsonValue& cell : report.Find("cells")->items()) {
     const JsonValue* spec = cell.Find("spec");
     const JsonValue* result = cell.Find("result");
     if (spec == nullptr || result == nullptr || FieldStr(*spec, "mix").empty()) {
@@ -188,15 +160,6 @@ JsonValue MakeCloudReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
                      std::make_tuple(b.escapes_per_tenant, b.p99, b.family);
             });
 
-  JsonValue report = JsonValue::Object();
-  report.Set("schema", JsonValue::Str(kCloudReportSchema));
-  report.Set("grid_cells", JsonValue::Uint(grid_cells));
-  JsonValue cell_array = JsonValue::Array();
-  for (JsonValue& cell : cells) {
-    cell_array.Push(std::move(cell));
-  }
-  report.Set("cells", std::move(cell_array));
-
   JsonValue ranking = JsonValue::Array();
   for (const RankEntry& entry : ranking_entries) {
     const FamilyAggregate& aggregate = entry.aggregate;
@@ -219,10 +182,6 @@ JsonValue MakeCloudReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
   }
   report.Set("ranking", std::move(ranking));
   return report;
-}
-
-JsonValue MergeCloudReports(const std::vector<JsonValue>& reports, std::string* error) {
-  return MergeCellReports(reports, ValidateCloudReport, MakeCloudReport, error);
 }
 
 }  // namespace ht

@@ -73,19 +73,11 @@ struct CloudCampaignGrid {
 // sharding order, exactly like ExpandGrid).
 std::vector<SweepCellSpec> ExpandCloudGrid(const CloudCampaignGrid& grid);
 
-// Runs the campaign on the shared cell executor ("hammercloud" heartbeat
-// label) and assembles the cloud report.
-SweepOutcome RunCloudCampaign(const CloudCampaignGrid& grid, const SweepOptions& options = {});
-
 // Builds a hammertime.cloud_report.v1 from completed cells: the
 // key-sorted cell array plus `ranking` (one aggregate per family,
 // ordered best-isolating first: flips-escaped-per-tenant asc, then p99
 // read latency asc, then family name).
 JsonValue MakeCloudReport(uint64_t grid_cells, std::vector<JsonValue> cells);
-
-// Shard-merge for cloud reports; byte-identical to the unsharded report
-// over the same cells (the ranking is rebuilt from the cell union).
-JsonValue MergeCloudReports(const std::vector<JsonValue>& reports, std::string* error = nullptr);
 
 }  // namespace ht
 

@@ -20,22 +20,6 @@ std::vector<TrrVendorConfig> BuildVendorRegistry() {
   };
 }
 
-uint64_t FieldUint(const JsonValue& object, const char* name) {
-  const JsonValue* member = object.Find(name);
-  return (member != nullptr && member->is_number()) ? member->as_uint() : 0;
-}
-
-double FieldDouble(const JsonValue& object, const char* name, double fallback) {
-  const JsonValue* member = object.Find(name);
-  return (member != nullptr && member->is_number()) ? member->as_double() : fallback;
-}
-
-std::string FieldStr(const JsonValue& object, const char* name) {
-  const JsonValue* member = object.Find(name);
-  return (member != nullptr && member->type() == JsonValue::Type::kString) ? member->as_string()
-                                                                           : std::string();
-}
-
 }  // namespace
 
 const std::vector<TrrVendorConfig>& AllTrrVendors() {
@@ -78,7 +62,7 @@ std::string TrrVendorNameFor(const JsonValue& canonical_spec) {
     return "none";
   }
   const uint64_t per_ref = FieldUint(canonical_spec, "trr_per_ref");
-  const double sample = FieldDouble(canonical_spec, "trr_sample", 1.0);
+  const double sample = FieldDouble(canonical_spec, "trr_sample", /*fallback=*/1.0);
   for (const TrrVendorConfig& vendor : AllTrrVendors()) {
     if (vendor.enabled && vendor.table_entries == entries &&
         vendor.refreshes_per_ref == per_ref &&
@@ -95,10 +79,10 @@ std::string TrrVendorNameFor(const JsonValue& canonical_spec) {
 std::vector<SweepCellSpec> ExpandPatternGrid(const PatternCampaignGrid& grid) {
   const std::vector<TrrVendorConfig>& vendors =
       grid.vendors.empty() ? AllTrrVendors() : grid.vendors;
-  std::map<std::string, ScenarioSpec> cells;
+  std::vector<ScenarioSpec> specs;
   for (const TrrVendorConfig& vendor : vendors) {
     for (const uint64_t pattern_seed : grid.pattern_seeds) {
-      ScenarioSpec spec;
+      ScenarioSpec& spec = specs.emplace_back();
       spec.attack = AttackKind::kPattern;
       spec.pattern_seed = pattern_seed;
       ApplyTrrVendor(spec.system.dram, vendor);
@@ -106,15 +90,9 @@ std::vector<SweepCellSpec> ExpandPatternGrid(const PatternCampaignGrid& grid) {
       spec.tenants = grid.tenants;
       spec.pages_per_tenant = grid.pages_per_tenant;
       spec.seed = grid.scenario_seed;
-      cells.emplace(SweepKey(spec), spec);
     }
   }
-  std::vector<SweepCellSpec> out;
-  out.reserve(cells.size());
-  for (auto& [key, spec] : cells) {  // std::map iterates in key order.
-    out.push_back(SweepCellSpec{key, spec});
-  }
-  return out;
+  return KeyedCells(specs);
 }
 
 SweepOutcome RunPatternCampaign(const PatternCampaignGrid& grid, const SweepOptions& options) {
@@ -122,9 +100,7 @@ SweepOutcome RunPatternCampaign(const PatternCampaignGrid& grid, const SweepOpti
 }
 
 JsonValue MakePatternReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
-  std::sort(cells.begin(), cells.end(), [](const JsonValue& a, const JsonValue& b) {
-    return a.Find("key")->as_string() < b.Find("key")->as_string();
-  });
+  JsonValue report = MakeCellReport(kPatternReportSchema, grid_cells, std::move(cells));
 
   // Both extra sections are derived from the (key-sorted) cells, so a
   // shard merge rebuilds them byte-identically.
@@ -136,7 +112,7 @@ JsonValue MakePatternReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
   };
   std::map<std::pair<uint64_t, std::string>, JsonValue> summaries;  // (seed, dram).
   std::map<std::string, std::vector<RankEntry>> vendors;
-  for (const JsonValue& cell : cells) {
+  for (const JsonValue& cell : report.Find("cells")->items()) {
     const JsonValue* spec = cell.Find("spec");
     const JsonValue* result = cell.Find("result");
     if (spec == nullptr || result == nullptr || FieldStr(*spec, "attack") != "pattern") {
@@ -167,15 +143,6 @@ JsonValue MakePatternReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
     entry.cross_domain = FieldUint(*result, "cross_domain_flips");
     vendors[TrrVendorNameFor(*spec)].push_back(entry);
   }
-
-  JsonValue report = JsonValue::Object();
-  report.Set("schema", JsonValue::Str(kPatternReportSchema));
-  report.Set("grid_cells", JsonValue::Uint(grid_cells));
-  JsonValue cell_array = JsonValue::Array();
-  for (JsonValue& cell : cells) {
-    cell_array.Push(std::move(cell));
-  }
-  report.Set("cells", std::move(cell_array));
 
   JsonValue patterns = JsonValue::Array();
   for (auto& [key, summary] : summaries) {  // (seed, dram) ascending.

@@ -117,8 +117,21 @@ JsonValue MakeCacheCell(const JsonValue& report_cell, JsonValue stats) {
 
 }  // namespace
 
+std::vector<SweepCellSpec> KeyedCells(const std::vector<ScenarioSpec>& specs) {
+  std::map<std::string, const ScenarioSpec*> by_key;
+  for (const ScenarioSpec& spec : specs) {
+    by_key.emplace(SweepKey(spec), &spec);
+  }
+  std::vector<SweepCellSpec> out;
+  out.reserve(by_key.size());
+  for (const auto& [key, spec] : by_key) {  // std::map iterates in key order.
+    out.push_back(SweepCellSpec{key, *spec});
+  }
+  return out;
+}
+
 std::vector<SweepCellSpec> ExpandGrid(const SweepGrid& grid) {
-  std::map<std::string, ScenarioSpec> cells;
+  std::vector<ScenarioSpec> specs;
   for (const DefenseKind defense : grid.defenses) {
     for (const HwMitigationKind hw : grid.hw) {
       for (const AttackKind attack : grid.attacks) {
@@ -128,7 +141,7 @@ std::vector<SweepCellSpec> ExpandGrid(const SweepGrid& grid) {
               for (const int generation : grid.generations) {
                 for (const Cycle cycles : grid.cycle_budgets) {
                   for (const uint64_t seed : grid.seeds) {
-                    ScenarioSpec spec;
+                    ScenarioSpec& spec = specs.emplace_back();
                     if (generation >= 0) {
                       spec.system.dram = DramConfig::DensityGeneration(generation);
                     }
@@ -149,7 +162,6 @@ std::vector<SweepCellSpec> ExpandGrid(const SweepGrid& grid) {
                     spec.tenants = grid.tenants;
                     spec.pages_per_tenant = grid.pages_per_tenant;
                     spec.benign_corunner = grid.benign_corunner;
-                    cells.emplace(SweepKey(spec), spec);
                   }
                 }
               }
@@ -159,20 +171,15 @@ std::vector<SweepCellSpec> ExpandGrid(const SweepGrid& grid) {
       }
     }
   }
-  std::vector<SweepCellSpec> out;
-  out.reserve(cells.size());
-  for (auto& [key, spec] : cells) {  // std::map iterates in key order.
-    out.push_back(SweepCellSpec{key, spec});
-  }
-  return out;
+  return KeyedCells(specs);
 }
 
-JsonValue MakeSweepReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
+JsonValue MakeCellReport(const char* schema, uint64_t grid_cells, std::vector<JsonValue> cells) {
   std::sort(cells.begin(), cells.end(), [](const JsonValue& a, const JsonValue& b) {
     return a.Find("key")->as_string() < b.Find("key")->as_string();
   });
   JsonValue report = JsonValue::Object();
-  report.Set("schema", JsonValue::Str(kSweepReportSchema));
+  report.Set("schema", JsonValue::Str(schema));
   report.Set("grid_cells", JsonValue::Uint(grid_cells));
   JsonValue array = JsonValue::Array();
   for (JsonValue& cell : cells) {
@@ -180,6 +187,26 @@ JsonValue MakeSweepReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
   }
   report.Set("cells", std::move(array));
   return report;
+}
+
+JsonValue MakeSweepReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
+  return MakeCellReport(kSweepReportSchema, grid_cells, std::move(cells));
+}
+
+uint64_t FieldUint(const JsonValue& object, const char* name) {
+  const JsonValue* member = object.Find(name);
+  return (member != nullptr && member->is_number()) ? member->as_uint() : 0;
+}
+
+double FieldDouble(const JsonValue& object, const char* name, double fallback) {
+  const JsonValue* member = object.Find(name);
+  return (member != nullptr && member->is_number()) ? member->as_double() : fallback;
+}
+
+std::string FieldStr(const JsonValue& object, const char* name) {
+  const JsonValue* member = object.Find(name);
+  return (member != nullptr && member->type() == JsonValue::Type::kString) ? member->as_string()
+                                                                           : std::string();
 }
 
 SweepOutcome RunCells(const std::vector<SweepCellSpec>& all, const SweepOptions& options,

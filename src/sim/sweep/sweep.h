@@ -50,11 +50,14 @@ struct SweepCellSpec {
   ScenarioSpec spec;
 };
 
+// Keys each spec, keeps the first spec of each key, and sorts by key:
+// the execution and sharding order every campaign expansion returns.
+std::vector<SweepCellSpec> KeyedCells(const std::vector<ScenarioSpec>& specs);
+
 // Cross product of the grid axes, deduplicated by canonical key (two
 // points that canonicalize identically — e.g. act-threshold variations
 // under a defense that ignores them do NOT collapse, but genuinely
-// identical specs do) and sorted by key. The order is the execution and
-// sharding order.
+// identical specs do) and sorted by key.
 std::vector<SweepCellSpec> ExpandGrid(const SweepGrid& grid);
 
 struct SweepOptions {
@@ -98,7 +101,8 @@ struct SweepOutcome {
 // the same builder serves fresh runs and shard merges.
 using ReportBuilder = JsonValue (*)(uint64_t grid_cells, std::vector<JsonValue> cells);
 
-// The generic cell executor under RunSweep and RunPatternCampaign: takes
+// The generic cell executor under CampaignMain (and RunSweep and
+// RunPatternCampaign, which the tests drive directly): takes
 // an already-expanded key-sorted cell list, runs this shard's missing
 // cells (deterministic spec order on the worker pool, resumable via the
 // cell cache), persists each completed cell, and assembles the report
@@ -111,8 +115,19 @@ SweepOutcome RunCells(const std::vector<SweepCellSpec>& cells, const SweepOption
 // and builds the report from every completed cell.
 SweepOutcome RunSweep(const SweepGrid& grid, const SweepOptions& options = {});
 
+// The part every campaign report shares: `schema`, `grid_cells`, and the
+// completed cells sorted by key. Campaign builders append their derived
+// sections to it.
+JsonValue MakeCellReport(const char* schema, uint64_t grid_cells, std::vector<JsonValue> cells);
+
 // Builds a sweep report document from completed cells (sorted by key).
 JsonValue MakeSweepReport(uint64_t grid_cells, std::vector<JsonValue> cells);
+
+// Lenient readers for report cell members: a missing or mistyped member
+// reads as 0 / `fallback` / "".
+uint64_t FieldUint(const JsonValue& object, const char* name);
+double FieldDouble(const JsonValue& object, const char* name, double fallback = 0.0);
+std::string FieldStr(const JsonValue& object, const char* name);
 
 // Generic shard-report union by cell key: all inputs must pass
 // `validate`, agree on grid_cells, and agree on any key they share; the

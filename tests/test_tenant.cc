@@ -60,7 +60,7 @@ TEST(TenantMixRegistry, MixesNameRegisteredWorkloads) {
 
 // --- Placement ---------------------------------------------------------------
 
-TenantConfig SmallPopulation(System& system, uint64_t placement_chunk) {
+TenantConfig SmallPopulation(uint64_t placement_chunk) {
   TenantConfig config;
   config.slots = 8;
   config.pages_per_slot = 4;
@@ -81,8 +81,7 @@ TenantConfig SmallPopulation(System& system, uint64_t placement_chunk) {
 TEST(TenantPlacement, ColocatedPairYieldsCrossTenantSandwich) {
   System system{SystemConfig{}};
   const uint64_t row_group = PagesPerRowGroup(system.mc().mapper());
-  TenantManager tenants(&system.kernel(), &system.llc(),
-                        SmallPopulation(system, row_group));
+  TenantManager tenants(&system.kernel(), &system.llc(), SmallPopulation(row_group));
   ASSERT_TRUE(tenants.Init());
   const DomainId attacker = tenants.DomainOf(0);
   const DomainId victim = tenants.DomainOf(1);
@@ -96,7 +95,7 @@ TEST(TenantPlacement, ColocatedPairYieldsCrossTenantSandwich) {
 
 TEST(TenantPlacement, ContiguousSlotsDenyTheSandwich) {
   System system{SystemConfig{}};
-  TenantManager tenants(&system.kernel(), &system.llc(), SmallPopulation(system, 0));
+  TenantManager tenants(&system.kernel(), &system.llc(), SmallPopulation(0));
   ASSERT_TRUE(tenants.Init());
   // Slot-contiguous allocation (4 pages each, a fraction of one row
   // group): the attacker never brackets a victim row.
@@ -109,8 +108,8 @@ TEST(TenantPlacement, ContiguousSlotsDenyTheSandwich) {
 
 TEST(TenantChurn, RecyclesEligibleSlotsAndPinsThePair) {
   System system{SystemConfig{}};
-  TenantManager tenants(&system.kernel(), &system.llc(), SmallPopulation(system, 0));
-  TenantConfig config = SmallPopulation(system, 0);
+  TenantManager tenants(&system.kernel(), &system.llc(), SmallPopulation(0));
+  TenantConfig config = SmallPopulation(0);
   config.churn_rate = 0.5;
   TenantManager manager(&system.kernel(), &system.llc(), config);
   ASSERT_TRUE(manager.Init());

@@ -388,7 +388,7 @@ void WriteRepro(const std::string& out_dir, const FuzzCase& shrunk, const std::s
     body << "# " << line << "\n";
   }
   body << shrunk.ToSeedLine() << "\n";
-  for (const std::string file : {name.str(), std::string("repro_latest.seed")}) {
+  for (const std::string& file : {name.str(), std::string("repro_latest.seed")}) {
     std::ofstream out(out_dir + "/" + file);
     out << body.str();
   }
@@ -545,14 +545,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   CliOptions options;
-  options.iterations = std::strtoull(parser.Get("iterations").c_str(), nullptr, 0);
-  options.seed = std::strtoull(parser.Get("seed").c_str(), nullptr, 0);
+  options.iterations = parser.GetUint("iterations");
+  options.seed = parser.GetUint("seed");
   options.mode = parser.Get("mode");
   options.out_dir = parser.Get("out");
   options.corpus_dir = parser.Get("corpus");
   options.replay_file = parser.Get("replay");
-  options.inject_at = std::strtoull(parser.Get("inject-at").c_str(), nullptr, 0);
-  options.inject_pick_at = std::strtoull(parser.Get("inject-pick-at").c_str(), nullptr, 0);
+  options.inject_at = parser.GetUint("inject-at");
+  options.inject_pick_at = parser.GetUint("inject-pick-at");
   options.verbose = parser.GetBool("verbose");
   if (options.mode != "device" && options.mode != "scenario" && options.mode != "pattern" &&
       options.mode != "both") {
