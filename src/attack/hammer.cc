@@ -15,7 +15,6 @@ CoreOp HammerStream::Next() {
       cursor_ = 0;
       ++passes_;
     }
-    ++ops_;
     return CoreOp::Flush(va);
   }
   if (config_.flush) {
@@ -27,7 +26,6 @@ CoreOp HammerStream::Next() {
       ++passes_;
     }
   }
-  ++ops_;
   return CoreOp::Load(va);
 }
 

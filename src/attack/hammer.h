@@ -38,14 +38,11 @@ class HammerStream : public InstructionStream {
     return static_cast<uint32_t>(std::max<size_t>(1, config_.aggressors.size()));
   }
 
-  uint64_t hammer_ops() const { return ops_; }
-
  private:
   HammerConfig config_;
   size_t cursor_ = 0;
   bool flush_phase_ = false;
   uint64_t passes_ = 0;
-  uint64_t ops_ = 0;
 };
 
 struct AdaptiveHammerConfig {

@@ -84,15 +84,6 @@ uint64_t TraceSink::total_emitted() const {
   return total;
 }
 
-uint64_t TraceSink::total_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& buffer : buffers_) {
-    total += buffer->events_dropped();
-  }
-  return total;
-}
-
 namespace {
 
 // Track layout inside a channel "process": tid 0 is the controller, tids

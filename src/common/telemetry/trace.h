@@ -12,8 +12,6 @@
 // `trace_event` JSON loadable in chrome://tracing or Perfetto: one
 // process per DRAM channel (plus synthetic "defense"/"os" processes),
 // one thread track per rank/bank.
-//
-// Define HT_NO_TRACING to compile every emit site out entirely.
 #ifndef HAMMERTIME_SRC_COMMON_TELEMETRY_TRACE_H_
 #define HAMMERTIME_SRC_COMMON_TELEMETRY_TRACE_H_
 
@@ -131,7 +129,6 @@ class TraceSink {
 
   size_t buffer_count() const;
   uint64_t total_emitted() const;
-  uint64_t total_dropped() const;
 
   // Per-buffer snapshots in creation order.
   std::vector<TraceBufferSnapshot> SnapshotBuffers() const;
@@ -156,11 +153,6 @@ void WriteChromeTrace(const std::vector<TraceBufferSnapshot>& buffers, std::ostr
 // Emit-site macro: `buffer` is a (possibly null) TraceBuffer*; arguments
 // after it are forwarded to TraceBuffer::Emit and are NOT evaluated when
 // tracing is off.
-#ifdef HT_NO_TRACING
-#define HT_TRACE(buffer, ...) \
-  do {                        \
-  } while (0)
-#else
 #define HT_TRACE(buffer, ...)                       \
   do {                                              \
     ::ht::TraceBuffer* ht_trace_buffer = (buffer);  \
@@ -168,6 +160,5 @@ void WriteChromeTrace(const std::vector<TraceBufferSnapshot>& buffers, std::ostr
       ht_trace_buffer->Emit(__VA_ARGS__);           \
     }                                               \
   } while (0)
-#endif
 
 #endif  // HAMMERTIME_SRC_COMMON_TELEMETRY_TRACE_H_

@@ -7,7 +7,6 @@ namespace ht {
 void ActRemapDefense::Attach(HostKernel* kernel, Cache* cache) {
   Defense::Attach(kernel, cache);
   quarantine_.Init(*kernel_, config_.quarantine_pages);
-  quarantine_.set_window_cap(config_.per_tenant_window_cap);
   stats_.Add("defense.quarantine_frames", quarantine_.remaining());
   g_quarantine_free_->Set(static_cast<double>(quarantine_.remaining()));
 }
@@ -46,7 +45,6 @@ void ActRemapDefense::Tick(Cycle now) {
   }
   next_forget_ = now + config_.history_window;
   row_hits_.AdvanceWindow();
-  quarantine_.AdvanceWindow();
   quarantine_.Prune(*kernel_);
   g_quarantine_free_->Set(static_cast<double>(quarantine_.remaining()));
 }
@@ -54,7 +52,6 @@ void ActRemapDefense::Tick(Cycle now) {
 void CacheLockDefense::Attach(HostKernel* kernel, Cache* cache) {
   Defense::Attach(kernel, cache);
   quarantine_.Init(*kernel_, config_.quarantine_pages);
-  quarantine_.set_window_cap(config_.per_tenant_window_cap);
 }
 
 void CacheLockDefense::OnActInterrupt(const ActInterrupt& irq, Cycle now) {
@@ -102,11 +99,10 @@ void CacheLockDefense::Tick(Cycle now) {
     c_locks_released_->Increment();
     g_locks_held_->Set(static_cast<double>(held_.size()));
   }
-  // Opportunistic quarantine window maintenance (not advertised through
-  // NextWake: a missed boundary only delays sub-pool recycling).
+  // Opportunistic quarantine pruning (not advertised through NextWake: a
+  // missed boundary only delays sub-pool recycling).
   if (now >= next_window_) {
     next_window_ = now + config_.lock_duration;
-    quarantine_.AdvanceWindow();
     quarantine_.Prune(*kernel_);
   }
 }

@@ -32,10 +32,6 @@ struct ActRemapConfig {
   // data again; quarantine frames neighbour only other quarantined hot
   // pages, so sustained hammering there is self-inflicted.
   uint32_t quarantine_pages = 128;
-  // Quarantine migrations one tenant may consume per history window
-  // (0 = unlimited); over-cap migrations fall back to regular MovePage so
-  // a noisy tenant cannot drain the shared pool.
-  uint32_t per_tenant_window_cap = 0;
 };
 
 class ActRemapDefense : public Defense {
@@ -78,7 +74,6 @@ class ActRemapDefense : public Defense {
 struct CacheLockConfig {
   Cycle lock_duration = 4u << 20;  // Hold locks one refresh window.
   uint32_t quarantine_pages = 128;  // Fallback-migration destination pool.
-  uint32_t per_tenant_window_cap = 0;  // Per-tenant quarantine budget per window.
 };
 
 class CacheLockDefense : public Defense {
@@ -112,7 +107,7 @@ class CacheLockDefense : public Defense {
   CacheLockConfig config_;
   std::deque<HeldLock> held_;
   QuarantinePool quarantine_;
-  Cycle next_window_ = 0;  // Quarantine window maintenance boundary.
+  Cycle next_window_ = 0;  // Next quarantine prune.
   Counter* c_interrupts_;
   Counter* c_unactionable_;
   Counter* c_lines_locked_;

@@ -44,26 +44,11 @@ std::vector<uint64_t>* QuarantinePool::PoolFor(DomainId domain) {
 bool QuarantinePool::Migrate(HostKernel& kernel, PhysAddr addr) {
   const auto located = kernel.LocatePhys(addr);
   const DomainId domain = located.has_value() ? located->first : kInvalidDomain;
-  bool capped = false;
-  if (per_domain_window_cap_ > 0) {
-    const uint32_t* count = window_migrations_.Find(static_cast<uint64_t>(domain));
-    capped = count != nullptr && *count >= per_domain_window_cap_;
-  }
-  if (capped) {
-    ++capped_migrations_;
-  } else {
-    std::vector<uint64_t>* pool = PoolFor(domain);
-    if (pool != nullptr) {
-      const uint64_t frame = pool->back();
-      if (kernel.MovePageByPhysToFrame(addr, frame)) {
-        pool->pop_back();
-        ++quarantine_migrations_;
-        if (per_domain_window_cap_ > 0) {
-          ++window_migrations_.FindOrInsert(static_cast<uint64_t>(domain));
-        }
-        return true;
-      }
-    }
+  std::vector<uint64_t>* pool = PoolFor(domain);
+  if (pool != nullptr && kernel.MovePageByPhysToFrame(addr, pool->back())) {
+    pool->pop_back();
+    ++quarantine_migrations_;
+    return true;
   }
   if (kernel.MovePageByPhys(addr)) {
     ++overflow_migrations_;
@@ -78,7 +63,6 @@ void QuarantinePool::Prune(HostKernel& kernel) {
       ++it;
       continue;
     }
-    pruned_frames_ += it->second.size();
     free_.insert(free_.end(), it->second.begin(), it->second.end());
     it = pools_.erase(it);
   }

@@ -13,9 +13,7 @@
 // own quarantined page cannot reach another tenant's quarantined data.
 // With a single migrating domain (every pre-cloud scenario) the handed
 // out frame sequence is identical to the historical shared-stack pool.
-// Per-domain migration counts sit on flat epoch-tagged storage
-// (common/flat_table.h), so the per-refresh-window rate cap resets in
-// O(1) and a churned-away tenant's sub-pool is recycled by Prune().
+// A churned-away tenant's sub-pool is recycled by Prune().
 #ifndef HAMMERTIME_SRC_DEFENSE_QUARANTINE_H_
 #define HAMMERTIME_SRC_DEFENSE_QUARANTINE_H_
 
@@ -23,7 +21,6 @@
 #include <map>
 #include <vector>
 
-#include "common/flat_table.h"
 #include "common/types.h"
 #include "os/kernel.h"
 
@@ -35,20 +32,11 @@ class QuarantinePool {
   // host domain. Safe to call once at defense attach time.
   void Init(HostKernel& kernel, uint32_t pages);
 
-  // Per-domain migrations allowed per window (0 = unlimited). A capped
-  // domain falls back to regular MovePage, so one noisy tenant cannot
-  // monopolize the reserved frames.
-  void set_window_cap(uint32_t cap) { per_domain_window_cap_ = cap; }
-
   // Migrates the page containing `addr` into a frame of the owning
   // domain's quarantine sub-pool, falling back to a regular MovePage when
-  // the pool (or the domain's window budget) is exhausted. Returns false
-  // only if migration failed outright.
+  // the pool is exhausted. Returns false only if migration failed
+  // outright.
   bool Migrate(HostKernel& kernel, PhysAddr addr);
-
-  // O(1) reset of the per-domain window migration counts; call at each
-  // refresh-window boundary.
-  void AdvanceWindow() { window_migrations_.AdvanceEpoch(); }
 
   // Returns sub-pools of destroyed domains (tenant churn) to the free
   // pool for reuse by live tenants.
@@ -58,8 +46,6 @@ class QuarantinePool {
   size_t remaining() const;
   uint64_t quarantine_migrations() const { return quarantine_migrations_; }
   uint64_t overflow_migrations() const { return overflow_migrations_; }
-  uint64_t capped_migrations() const { return capped_migrations_; }
-  uint64_t pruned_frames() const { return pruned_frames_; }
 
  private:
   // The domain's sub-pool, carving a fresh chunk from the back of the
@@ -68,13 +54,9 @@ class QuarantinePool {
 
   std::vector<uint64_t> free_;  // Un-carved frames; chunks taken from the back.
   std::map<DomainId, std::vector<uint64_t>> pools_;  // Per-domain carved frames.
-  FlatRowTable<uint32_t> window_migrations_{64};     // Keyed by DomainId.
   uint64_t chunk_pages_ = 1;  // Row-group size captured at Init.
-  uint32_t per_domain_window_cap_ = 0;
   uint64_t quarantine_migrations_ = 0;
   uint64_t overflow_migrations_ = 0;
-  uint64_t capped_migrations_ = 0;
-  uint64_t pruned_frames_ = 0;
 };
 
 }  // namespace ht

@@ -111,9 +111,6 @@ class TimingChecker {
   // controller answer "any bank open?" without a scan.
   uint64_t OpenBankMask(uint32_t rank) const { return ranks_[rank].open_mask; }
 
-  // Cycle at which the data for a RD issued at `issue` becomes available.
-  Cycle ReadDataReady(Cycle issue) const { return issue + table_.rd_burst; }
-
   const ConstraintTable& constraints() const { return table_; }
 
  private:

@@ -117,7 +117,6 @@ class ActCounter {
 
   void set_handler(ActInterruptHandler handler) { handler_ = std::move(handler); }
   const ActCounterConfig& config() const { return config_; }
-  void set_threshold(uint64_t threshold) { config_.threshold = threshold; }
 
   // Called by the controller for every ACT it issues, with the physical
   // address / origin of the RD or WR that necessitated the ACT.

@@ -81,11 +81,6 @@ std::optional<uint32_t> MemoryController::DomainGroup(DomainId domain) const {
   return it->second;
 }
 
-uint32_t MemoryController::EffectiveBlast() const {
-  return config_.assumed_blast_radius != 0 ? config_.assumed_blast_radius
-                                           : dram_config_.disturbance.blast_radius;
-}
-
 bool MemoryController::Enqueue(const MemRequest& request, Cycle now) {
   const DdrCoord coord = mapper_.Map(request.addr);
   ChannelState& channel = channels_[coord.channel];
@@ -160,40 +155,44 @@ void MemoryController::SetActInterruptHandler(ActInterruptHandler handler) {
 bool MemoryController::RefreshRow(PhysAddr addr, bool auto_precharge, Cycle now,
                                   RefreshDoneCallback done) {
   const DdrCoord coord = mapper_.Map(addr);
-  ChannelState& channel = channels_[coord.channel];
-  if (channel.internal_ops.size() >= kMaxInternalOps) {
-    stats_.Add("mc.refresh_row_rejected");
+  if (!PushInternalOp(coord.channel,
+                      {.kind = InternalOpKind::kRefreshRow,
+                       .coord = coord,
+                       .auto_precharge = auto_precharge,
+                       .requested = now,
+                       .addr = addr,
+                       .done = std::move(done)},
+                      "mc.refresh_row_rejected")) {
     return false;
   }
-  InternalOp op;
-  op.kind = InternalOpKind::kRefreshRow;
-  op.coord = coord;
-  op.auto_precharge = auto_precharge;
-  op.requested = now;
-  op.addr = addr;
-  op.done = std::move(done);
-  channel.internal_ops.push_back(std::move(op));
-  channel.next_try = 0;
   c_refresh_instr_->Increment();
   return true;
 }
 
 bool MemoryController::RefreshNeighbors(PhysAddr addr, uint32_t blast, Cycle now) {
   const DdrCoord coord = mapper_.Map(addr);
-  ChannelState& channel = channels_[coord.channel];
-  if (channel.internal_ops.size() >= kMaxInternalOps) {
-    stats_.Add("mc.refresh_neighbors_rejected");
+  if (!PushInternalOp(coord.channel,
+                      {.kind = InternalOpKind::kRefreshNeighbors,
+                       .coord = coord,
+                       .blast = blast,
+                       .requested = now,
+                       .addr = addr},
+                      "mc.refresh_neighbors_rejected")) {
     return false;
   }
-  InternalOp op;
-  op.kind = InternalOpKind::kRefreshNeighbors;
-  op.coord = coord;
-  op.blast = blast;
-  op.requested = now;
-  op.addr = addr;
+  stats_.Add("mc.refresh_neighbors_cmds");
+  return true;
+}
+
+bool MemoryController::PushInternalOp(uint32_t channel_index, InternalOp op,
+                                      const char* rejected_stat) {
+  ChannelState& channel = channels_[channel_index];
+  if (channel.internal_ops.size() >= kMaxInternalOps) {
+    stats_.Add(rejected_stat);
+    return false;
+  }
   channel.internal_ops.push_back(std::move(op));
   channel.next_try = 0;
-  stats_.Add("mc.refresh_neighbors_cmds");
   return true;
 }
 
@@ -294,70 +293,54 @@ void MemoryController::SyncThrottleStalls(Cycle now) {
   }
 }
 
+namespace {
+
+// Issues `cmd` if it is legal at `now`; otherwise lowers `retry` to the
+// cycle it becomes legal.
+bool TryIssue(DramDevice& device, const DdrCommand& cmd, Cycle now, Cycle& retry) {
+  if (device.Check(cmd, now) == TimingVerdict::kOk) {
+    device.Issue(cmd, now);
+    return true;
+  }
+  retry = std::min(retry, device.EarliestCycle(cmd));
+  return false;
+}
+
+}  // namespace
+
 bool MemoryController::TryRefreshManager(uint32_t channel_index, Cycle now, Cycle& retry) {
   ChannelState& channel = channels_[channel_index];
   DramDevice& device = *devices_[channel_index];
+  // Slots are ranks, or (rank, bank) pairs under DDR5-style per-bank
+  // refresh, where the other banks keep serving. A due slot drains: close
+  // its open bank(s) with PREA / PRE, then REF / REFsb.
+  const bool per_bank = dram_config_.retention.per_bank_refresh;
+  const uint32_t banks = dram_config_.org.banks;
   // A slot crossing its due cycle changes the scan (drain state, and
   // which slot is first-due), so the nearest future due always bounds the
   // retry. Dues at or before the first due slot are accumulated below;
   // later slots cannot steal "first due" from it, so they are ignored.
   Cycle next_due = kNeverCycle;
-  if (dram_config_.retention.per_bank_refresh) {
-    // DDR5-style: refresh one bank at a time; the rest keep serving.
-    const uint32_t banks = dram_config_.org.banks;
-    for (uint32_t slot = 0; slot < channel.ref_due.size(); ++slot) {
-      if (now < channel.ref_due[slot]) {
-        next_due = std::min(next_due, channel.ref_due[slot]);
-        continue;
-      }
-      const uint32_t rank = slot / banks;
-      const uint32_t bank = slot % banks;
-      if (device.OpenRow(rank, bank).has_value()) {
-        const DdrCommand pre = DdrCommand::Pre(rank, bank);
-        if (device.Check(pre, now) == TimingVerdict::kOk) {
-          device.Issue(pre, now);
-          return true;
-        }
-        retry = std::min(next_due, device.EarliestCycle(pre));
-        return false;
-      }
-      const DdrCommand refsb = DdrCommand::RefSb(rank, bank);
-      if (device.Check(refsb, now) == TimingVerdict::kOk) {
-        device.Issue(refsb, now);
-        channel.ref_due[slot] += dram_config_.RefPeriod();
-        c_refs_sb_issued_->Increment();
-        return true;
-      }
-      retry = std::min(next_due, device.EarliestCycle(refsb));
-      return false;
-    }
-    retry = next_due;
-    return false;
-  }
-  for (uint32_t rank = 0; rank < dram_config_.org.ranks; ++rank) {
-    if (now < channel.ref_due[rank]) {
-      next_due = std::min(next_due, channel.ref_due[rank]);
+  for (uint32_t slot = 0; slot < channel.ref_due.size(); ++slot) {
+    if (now < channel.ref_due[slot]) {
+      next_due = std::min(next_due, channel.ref_due[slot]);
       continue;
     }
-    // Drain: close any open bank, then REF.
-    if (device.OpenBankMask(rank) != 0) {
-      const DdrCommand prea = DdrCommand::PreAll(rank);
-      if (device.Check(prea, now) == TimingVerdict::kOk) {
-        device.Issue(prea, now);
-        return true;
-      }
-      retry = std::min(next_due, device.EarliestCycle(prea));
-      return false;  // Wait for tRAS etc.; keep the bus quiet for this rank.
+    const uint32_t rank = per_bank ? slot / banks : slot;
+    const uint32_t bank = per_bank ? slot % banks : 0;
+    retry = next_due;
+    if (per_bank ? device.OpenRow(rank, bank).has_value() : device.OpenBankMask(rank) != 0) {
+      // Wait for tRAS etc.; keep the bus quiet for this slot.
+      return TryIssue(device, per_bank ? DdrCommand::Pre(rank, bank) : DdrCommand::PreAll(rank),
+                      now, retry);
     }
-    const DdrCommand ref = DdrCommand::Ref(rank);
-    if (device.Check(ref, now) == TimingVerdict::kOk) {
-      device.Issue(ref, now);
-      channel.ref_due[rank] += dram_config_.RefPeriod();
-      c_refs_issued_->Increment();
-      return true;
+    if (!TryIssue(device, per_bank ? DdrCommand::RefSb(rank, bank) : DdrCommand::Ref(rank), now,
+                  retry)) {
+      return false;
     }
-    retry = std::min(next_due, device.EarliestCycle(ref));
-    return false;
+    channel.ref_due[slot] += dram_config_.RefPeriod();
+    (per_bank ? c_refs_sb_issued_ : c_refs_issued_)->Increment();
+    return true;
   }
   retry = next_due;
   return false;
@@ -372,84 +355,51 @@ bool MemoryController::TryInternalOps(uint32_t channel_index, Cycle now, Cycle& 
   InternalOp& op = channel.internal_ops.front();
   const uint32_t rank = op.coord.rank;
   const uint32_t bank = op.coord.bank;
-  const bool op_draining =
-      dram_config_.retention.per_bank_refresh
-          ? now >= channel.ref_due[rank * dram_config_.org.banks + bank]
-          : now >= channel.ref_due[rank];
-  if (op_draining && !op.activated) {
+  auto finish = [&] {
+    if (op.done) {
+      op.done({op.addr, op.requested, now});
+    }
+    channel.internal_ops.pop_front();
+  };
+  if (op.activated) {
+    // Awaiting the auto-precharge.
+    if (!TryIssue(device, DdrCommand::Pre(rank, bank), now, retry)) {
+      return false;
+    }
+    finish();
+    return true;
+  }
+  if ((DrainingSlots(channel, now) >> (rank * dram_config_.org.banks + bank) & 1) != 0) {
     // Target is draining for REF; hold defense ops briefly. The hold ends
     // only when the overdue REF issues, which resets the channel memo, and
     // the refresh-manager retry already covers progress toward it — so no
     // retry cycle of our own (kNeverCycle).
     return false;
   }
-  const auto open_row = device.OpenRow(rank, bank);
-
-  switch (op.kind) {
-    case InternalOpKind::kRefreshRow: {
-      if (!op.activated) {
-        if (open_row.has_value()) {
-          const DdrCommand pre = DdrCommand::Pre(rank, bank);
-          if (device.Check(pre, now) == TimingVerdict::kOk) {
-            device.Issue(pre, now);
-            return true;
-          }
-          retry = device.EarliestCycle(pre);
-          return false;
-        }
-        const DdrCommand act = DdrCommand::Act(rank, bank, op.coord.row);
-        if (device.Check(act, now) == TimingVerdict::kOk) {
-          device.Issue(act, now);
-          // Refresh ACTs are not attributed to any RD/WR; they still
-          // increment the raw ACT counter like real ACT_COUNT would.
-          act_counters_[channel_index]->OnActivate(op.addr, kInvalidDomain, false, now);
-          op.activated = true;
-          c_refresh_instr_acts_->Increment();
-          if (!op.auto_precharge) {
-            if (op.done) {
-              op.done({op.addr, op.requested, now});
-            }
-            channel.internal_ops.pop_front();
-          }
-          return true;
-        }
-        retry = device.EarliestCycle(act);
-        return false;
-      }
-      // Awaiting the auto-precharge.
-      const DdrCommand pre = DdrCommand::Pre(rank, bank);
-      if (device.Check(pre, now) == TimingVerdict::kOk) {
-        device.Issue(pre, now);
-        if (op.done) {
-          op.done({op.addr, op.requested, now});
-        }
-        channel.internal_ops.pop_front();
-        return true;
-      }
-      retry = device.EarliestCycle(pre);
-      return false;
-    }
-    case InternalOpKind::kRefreshNeighbors: {
-      if (open_row.has_value()) {
-        const DdrCommand pre = DdrCommand::Pre(rank, bank);
-        if (device.Check(pre, now) == TimingVerdict::kOk) {
-          device.Issue(pre, now);
-          return true;
-        }
-        retry = device.EarliestCycle(pre);
-        return false;
-      }
-      const DdrCommand refn = DdrCommand::RefNeighbors(rank, bank, op.coord.row, op.blast);
-      if (device.Check(refn, now) == TimingVerdict::kOk) {
-        device.Issue(refn, now);
-        channel.internal_ops.pop_front();
-        return true;
-      }
-      retry = device.EarliestCycle(refn);
-      return false;
-    }
+  // Close the bank, then issue the refresh.
+  if (device.OpenRow(rank, bank).has_value()) {
+    return TryIssue(device, DdrCommand::Pre(rank, bank), now, retry);
   }
-  return false;
+  if (op.kind == InternalOpKind::kRefreshNeighbors) {
+    if (!TryIssue(device, DdrCommand::RefNeighbors(rank, bank, op.coord.row, op.blast), now,
+                  retry)) {
+      return false;
+    }
+    finish();
+    return true;
+  }
+  if (!TryIssue(device, DdrCommand::Act(rank, bank, op.coord.row), now, retry)) {
+    return false;
+  }
+  // Refresh ACTs are not attributed to any RD/WR; they still increment
+  // the raw ACT counter like real ACT_COUNT would.
+  act_counters_[channel_index]->OnActivate(op.addr, kInvalidDomain, false, now);
+  op.activated = true;
+  c_refresh_instr_acts_->Increment();
+  if (!op.auto_precharge) {
+    finish();
+  }
+  return true;
 }
 
 uint64_t MemoryController::DrainingSlots(const ChannelState& channel, Cycle at,
@@ -485,172 +435,95 @@ bool MemoryController::TryRequests(uint32_t channel_index, Cycle now, Cycle& ret
                    {.memoized = true, .retry = retry, .throttle_stalls = channel.throttled_heads});
     return false;
   }
-  DramDevice& device = *devices_[channel_index];
-  std::vector<PendingRequest>& slab = channel.slab;
-  const uint32_t banks = dram_config_.org.banks;
-  const uint64_t draining = DrainingSlots(channel, now);
-  uint64_t open = 0;
-  for (uint32_t rank = 0; rank < dram_config_.org.ranks; ++rank) {
-    open |= device.OpenBankMask(rank) << (rank * banks);
+  const RequestScan scan = ScanRequests(channel_index, now, /*stop_at_pick=*/true);
+  c_throttle_stalls_->Add(scan.stalls);
+  if (scan.pick == kNil) {
+    // Nothing issued: every candidate is timing-blocked or throttled, and
+    // the walk met every throttled head. Candidates filtered for non-timing
+    // reasons (draining slots, claimed banks, a head pinning its open row)
+    // can only unblock via a state change, which lowers or resets the memo.
+    channel.next_sched = std::max(scan.earliest, now + 1);
+    channel.throttled_heads = scan.throttled;
+    channel.throttle_from = now + 1;
+    retry = channel.next_sched;
+    ReportDecision(channel_index, now, {.retry = retry, .throttle_stalls = scan.stalls});
+    return false;
   }
-  const uint64_t ready = channel.occupied & ~draining;
-
-  // The pick so far: the smallest-seq candidate whose command is legal.
-  uint32_t pick = kNil;
-  uint64_t pick_seq = ~0ull;
-  DdrCommand pick_cmd;
-
-  // Pass 1 (FR): oldest row hit whose RD/WR is legal now.
-  const bool ap = !config_.open_page;  // Closed-page: auto-precharge.
-  for (uint64_t m = ready & open; m != 0; m &= m - 1) {
-    const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(m));
-    const uint32_t rank = slot / banks;
-    const uint32_t bank = slot % banks;
-    const uint32_t open_row = *device.OpenRow(rank, bank);
-    BankQueue& queue = channel.banks[slot];
-    if (queue.hit_row != open_row) {
-      FindHits(channel, queue, open_row);
-    }
-    for (int k = 0; k < 2; ++k) {
-      const uint32_t hit = queue.hits[k];
-      if (hit == kNil || slab[hit].seq > pick_seq) {
-        continue;
+  PendingRequest& pending = channel.slab[scan.pick];
+  ReportDecision(channel_index, now,
+                 {.issued = true,
+                  .command = scan.cmd.type,
+                  .seq = pending.seq,
+                  .throttle_stalls = scan.stalls});
+  devices_[channel_index]->Issue(scan.cmd, now);
+  // The first command issued for a request classifies it: a RD/WR served
+  // without its own ACT is a row hit, an ACT a miss, a PRE a conflict.
+  switch (scan.cmd.type) {
+    case DdrCommandType::kActivate:
+      if (!pending.counted) {
+        c_row_misses_->Increment();
+        pending.counted = true;
       }
-      const PendingRequest& pending = slab[hit];
-      const DdrCommand cmd = k == 0 ? DdrCommand::Rd(rank, bank, pending.coord.column, ap)
-                                    : DdrCommand::Wr(rank, bank, pending.coord.column, ap);
-      if (device.Check(cmd, now) == TimingVerdict::kOk) {
-        pick = hit;
-        pick_seq = pending.seq;
-        pick_cmd = cmd;
-      }
-    }
-  }
-  if (pick != kNil) {
-    ReportDecision(channel_index, now,
-                   {.issued = true, .command = pick_cmd.type, .seq = pick_seq});
-    device.Issue(pick_cmd, now);
-    if (!slab[pick].counted) {
-      c_row_hits_->Increment();  // Served without its own ACT.
-    }
-    IssueRequestAccess(channel_index, pick, now);
-    retry = MemoAfterIssue(channel_index, now);
-    return true;
-  }
-
-  // Pass 2 (FCFS): a closed bank may be activated only for its oldest
-  // request (its list head), so a younger request cannot steal the bank.
-  // Heads are tried oldest first, so the throttle is asked about exactly
-  // the heads an age-ordered scan reaches.
-  uint32_t heads[64];
-  uint32_t head_count = 0;
-  for (uint64_t m = ready & ~open; m != 0; m &= m - 1) {
-    const uint32_t head = channel.banks[__builtin_ctzll(m)].head;
-    uint32_t k = head_count++;
-    for (; k > 0 && slab[heads[k - 1]].seq > slab[head].seq; --k) {
-      heads[k] = heads[k - 1];
-    }
-    heads[k] = head;
-  }
-  uint32_t throttle_stalls = 0;
-  for (uint32_t k = 0; k < head_count; ++k) {
-    const PendingRequest& pending = slab[heads[k]];
-    if (mitigation_ != nullptr &&
-        mitigation_->ActAllowedAt(pending.coord.rank, pending.coord.bank, pending.coord.row,
-                                  now) > now) {
-      ++throttle_stalls;
-      continue;
-    }
-    const DdrCommand act =
-        DdrCommand::Act(pending.coord.rank, pending.coord.bank, pending.coord.row);
-    if (device.Check(act, now) == TimingVerdict::kOk) {
-      pick = heads[k];
-      pick_seq = pending.seq;
-      pick_cmd = act;
+      act_counters_[channel_index]->OnActivate(pending.request.addr, pending.request.domain,
+                                               pending.request.is_dma, now);
+      NotifyMitigationActivate(pending.coord, now);
       break;
-    }
+    case DdrCommandType::kPrecharge:
+      if (!pending.counted) {
+        c_row_conflicts_->Increment();
+        pending.counted = true;
+      }
+      break;
+    default:  // RD/WR.
+      if (!pending.counted) {
+        c_row_hits_->Increment();
+      }
+      IssueRequestAccess(channel_index, scan.pick, now);
+      break;
   }
-  c_throttle_stalls_->Add(throttle_stalls);
-  if (pick != kNil) {
-    ReportDecision(channel_index, now,
-                   {.issued = true,
-                    .command = pick_cmd.type,
-                    .seq = pick_seq,
-                    .throttle_stalls = throttle_stalls});
-    PendingRequest& pending = slab[pick];
-    device.Issue(pick_cmd, now);
-    if (!pending.counted) {
-      c_row_misses_->Increment();
-      pending.counted = true;
-    }
-    act_counters_[channel_index]->OnActivate(pending.request.addr, pending.request.domain,
-                                             pending.request.is_dma, now);
-    NotifyMitigationActivate(pending.coord, now);
-    retry = MemoAfterIssue(channel_index, now);
-    return true;
-  }
-
-  // Pass 3: PRE an open bank for its oldest request when that request
-  // misses the open row. A bank whose head wants the open row is left
-  // open: no older request may be starved by the PRE. Draining slots are
-  // not skipped; closing rows is what draining wants.
-  for (uint64_t m = channel.occupied & open; m != 0; m &= m - 1) {
-    const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(m));
-    const PendingRequest& head = slab[channel.banks[slot].head];
-    if (head.seq > pick_seq || head.coord.row == *device.OpenRow(slot / banks, slot % banks)) {
-      continue;
-    }
-    const DdrCommand pre = DdrCommand::Pre(slot / banks, slot % banks);
-    if (device.Check(pre, now) == TimingVerdict::kOk) {
-      pick = channel.banks[slot].head;
-      pick_seq = head.seq;
-      pick_cmd = pre;
-    }
-  }
-  if (pick != kNil) {
-    ReportDecision(channel_index, now,
-                   {.issued = true,
-                    .command = pick_cmd.type,
-                    .seq = pick_seq,
-                    .throttle_stalls = throttle_stalls});
-    device.Issue(pick_cmd, now);
-    if (!slab[pick].counted) {
-      c_row_conflicts_->Increment();
-      slab[pick].counted = true;
-    }
-    retry = MemoAfterIssue(channel_index, now);
-    return true;
-  }
-  // Nothing issued: every candidate is timing-blocked or throttled, and
-  // the scan met every throttled head. Candidates filtered for non-timing
-  // reasons (draining slots, claimed banks, a head pinning its open row)
-  // can only unblock via a state change, which lowers or resets the memo.
-  const RequestOutlook outlook = ProbeRequests(channel_index, now);
-  channel.next_sched = std::max(outlook.earliest, now + 1);
-  channel.throttled_heads = outlook.throttled;
-  channel.throttle_from = now + 1;
-  retry = channel.next_sched;
-  ReportDecision(channel_index, now, {.retry = retry, .throttle_stalls = throttle_stalls});
-  return false;
+  retry = MemoAfterIssue(channel_index, now);
+  return true;
 }
 
-MemoryController::RequestOutlook MemoryController::ProbeRequests(uint32_t channel_index,
-                                                                 Cycle from) {
+MemoryController::RequestScan MemoryController::ScanRequests(uint32_t channel_index, Cycle at,
+                                                             bool stop_at_pick) {
   ChannelState& channel = channels_[channel_index];
   const DramDevice& device = *devices_[channel_index];
   const std::vector<PendingRequest>& slab = channel.slab;
   const uint32_t banks = dram_config_.org.banks;
   Cycle next_due = kNeverCycle;
-  const uint64_t draining = DrainingSlots(channel, from, &next_due);
+  const uint64_t draining = DrainingSlots(channel, at, &next_due);
   uint64_t open = 0;
   for (uint32_t rank = 0; rank < dram_config_.org.ranks; ++rank) {
     open |= device.OpenBankMask(rank) << (rank * banks);
   }
   const uint64_t ready = channel.occupied & ~draining;
-  RequestOutlook outlook;
-  Cycle& earliest = outlook.earliest;
-  const bool ap = !config_.open_page;
-  // Pass 1 candidates: each open bank's oldest read hit and write hit.
+  RequestScan scan;
+  // Every candidate is structurally legal (RD/WR on the open row, ACT on a
+  // closed bank, PRE on an open one), so it is legal at `at` exactly when
+  // EarliestCycle <= at, and that one value serves the pick and the memo.
+  // A pass that picked freezes the pick (pick_seq 0): later candidates
+  // only feed the memo. Pass 2 walks in seq order, so its first legal head
+  // may freeze at once.
+  uint64_t pick_seq = ~0ull;
+  auto consider = [&](uint32_t index, const DdrCommand& cmd) {
+    const Cycle earliest = device.EarliestCycle(cmd);
+    scan.earliest = std::min(scan.earliest, earliest);
+    if (earliest <= at && slab[index].seq < pick_seq) {
+      scan.pick = index;
+      scan.cmd = cmd;
+      pick_seq = slab[index].seq;
+    }
+  };
+  auto pass_picked = [&] {
+    if (scan.pick != kNil) {
+      pick_seq = 0;
+    }
+    return stop_at_pick && scan.pick != kNil;
+  };
+
+  // Pass 1 (FR): each open bank's oldest read hit and oldest write hit.
+  const bool ap = !config_.open_page;  // Closed-page: auto-precharge.
   for (uint64_t m = ready & open; m != 0; m &= m - 1) {
     const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(m));
     const uint32_t rank = slot / banks;
@@ -661,44 +534,67 @@ MemoryController::RequestOutlook MemoryController::ProbeRequests(uint32_t channe
       FindHits(channel, queue, open_row);
     }
     if (queue.hits[0] != kNil) {
-      earliest = std::min(earliest, device.EarliestCycle(DdrCommand::Rd(
-                                        rank, bank, slab[queue.hits[0]].coord.column, ap)));
+      consider(queue.hits[0], DdrCommand::Rd(rank, bank, slab[queue.hits[0]].coord.column, ap));
     }
     if (queue.hits[1] != kNil) {
-      earliest = std::min(earliest, device.EarliestCycle(DdrCommand::Wr(
-                                        rank, bank, slab[queue.hits[1]].coord.column, ap)));
+      consider(queue.hits[1], DdrCommand::Wr(rank, bank, slab[queue.hits[1]].coord.column, ap));
     }
   }
-  // Pass 2 candidates: closed banks' heads, unless throttled; a throttled
-  // head counts and is released at the cycle the mitigation names.
+  if (pass_picked()) {
+    return scan;
+  }
+
+  // Pass 2 (FCFS): a closed bank may be activated only for its oldest
+  // request (its list head), so a younger request cannot steal the bank.
+  // Heads are walked oldest first, so a stopping walk asks the throttle
+  // about exactly the heads an age-ordered scan reaches. A throttled head
+  // counts and is released at the cycle the mitigation names.
+  uint32_t heads[64];
+  uint32_t head_count = 0;
   for (uint64_t m = ready & ~open; m != 0; m &= m - 1) {
-    const DdrCoord& coord = slab[channel.banks[__builtin_ctzll(m)].head].coord;
+    const uint32_t head = channel.banks[__builtin_ctzll(m)].head;
+    uint32_t k = head_count++;
+    for (; k > 0 && slab[heads[k - 1]].seq > slab[head].seq; --k) {
+      heads[k] = heads[k - 1];
+    }
+    heads[k] = head;
+  }
+  for (uint32_t k = 0; k < head_count; ++k) {
+    const DdrCoord& coord = slab[heads[k]].coord;
     if (mitigation_ != nullptr) {
-      const Cycle allowed = mitigation_->ActAllowedAt(coord.rank, coord.bank, coord.row, from);
-      if (allowed > from) {
-        ++outlook.throttled;
-        earliest = std::min(earliest, allowed);
+      const Cycle allowed = mitigation_->ActAllowedAt(coord.rank, coord.bank, coord.row, at);
+      if (allowed > at) {
+        ++scan.throttled;
+        scan.stalls += scan.pick == kNil ? 1 : 0;
+        scan.earliest = std::min(scan.earliest, allowed);
         continue;
       }
     }
-    earliest =
-        std::min(earliest, device.EarliestCycle(DdrCommand::Act(coord.rank, coord.bank, coord.row)));
+    consider(heads[k], DdrCommand::Act(coord.rank, coord.bank, coord.row));
+    if (pass_picked()) {
+      return scan;
+    }
   }
-  // Pass 3 candidates: open banks' heads that miss the open row.
+
+  // Pass 3: PRE an open bank for its oldest request when that request
+  // misses the open row. A bank whose head wants the open row is left
+  // open: no older request may be starved by the PRE. Draining slots are
+  // not skipped; closing rows is what draining wants.
   for (uint64_t m = channel.occupied & open; m != 0; m &= m - 1) {
     const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(m));
     const uint32_t rank = slot / banks;
     const uint32_t bank = slot % banks;
-    if (slab[channel.banks[slot].head].coord.row != *device.OpenRow(rank, bank)) {
-      earliest = std::min(earliest, device.EarliestCycle(DdrCommand::Pre(rank, bank)));
+    const uint32_t head = channel.banks[slot].head;
+    if (slab[head].coord.row != *device.OpenRow(rank, bank)) {
+      consider(head, DdrCommand::Pre(rank, bank));
     }
   }
   // A slot that starts draining drops its throttled head from the count.
-  if (outlook.throttled != 0) {
-    earliest = std::min(earliest, next_due);
+  if (scan.throttled != 0) {
+    scan.earliest = std::min(scan.earliest, next_due);
   }
-  earliest = std::max(earliest, from);
-  return outlook;
+  scan.earliest = std::max(scan.earliest, at);
+  return scan;
 }
 
 Cycle MemoryController::MemoAfterIssue(uint32_t channel_index, Cycle now) {
@@ -711,10 +607,10 @@ Cycle MemoryController::MemoAfterIssue(uint32_t channel_index, Cycle now) {
     channel.throttled_heads = 0;
     return channel.next_sched = 0;
   }
-  const RequestOutlook outlook = ProbeRequests(channel_index, now + 1);
-  channel.throttled_heads = outlook.throttled;
+  const RequestScan scan = ScanRequests(channel_index, now + 1, /*stop_at_pick=*/false);
+  channel.throttled_heads = scan.throttled;
   channel.throttle_from = now + 1;
-  return channel.next_sched = outlook.earliest;
+  return channel.next_sched = scan.earliest;
 }
 
 void MemoryController::FindHits(const ChannelState& channel, BankQueue& bank, uint32_t row) {
@@ -804,23 +700,19 @@ void MemoryController::NotifyMitigationActivate(const DdrCoord& coord, Cycle now
 
 void MemoryController::EnqueueNeighborRefresh(const NeighborRefreshRequest& refresh,
                                               uint32_t channel_index, Cycle now) {
-  ChannelState& channel = channels_[channel_index];
   c_mitigation_refreshes_->Increment();
-  const uint32_t blast = EffectiveBlast();
+  const uint32_t blast = dram_config_.disturbance.blast_radius;
   HT_TRACE(trace_, now, TraceKind::kMitigationRefresh, static_cast<uint8_t>(channel_index),
            static_cast<uint8_t>(refresh.rank), static_cast<uint8_t>(refresh.bank),
            refresh.aggressor_row, blast);
   if (config_.use_ref_neighbors) {
-    if (channel.internal_ops.size() >= kMaxInternalOps) {
-      stats_.Add("mc.mitigation_refresh_dropped");
-      return;
-    }
-    InternalOp op;
-    op.kind = InternalOpKind::kRefreshNeighbors;
-    op.coord = DdrCoord{channel_index, refresh.rank, refresh.bank, refresh.aggressor_row, 0};
-    op.blast = blast;
-    op.requested = now;
-    channel.internal_ops.push_back(std::move(op));
+    PushInternalOp(channel_index,
+                   {.kind = InternalOpKind::kRefreshNeighbors,
+                    .coord = DdrCoord{channel_index, refresh.rank, refresh.bank,
+                                      refresh.aggressor_row, 0},
+                    .blast = blast,
+                    .requested = now},
+                   "mc.mitigation_refresh_dropped");
     return;
   }
   // Without DRAM assistance the MC refreshes each *logical* neighbour row
@@ -833,17 +725,14 @@ void MemoryController::EnqueueNeighborRefresh(const NeighborRefreshRequest& refr
       if (target < 0 || target >= static_cast<int64_t>(rows_per_bank)) {
         continue;
       }
-      if (channel.internal_ops.size() >= kMaxInternalOps) {
-        stats_.Add("mc.mitigation_refresh_dropped");
+      if (!PushInternalOp(channel_index,
+                          {.kind = InternalOpKind::kRefreshRow,
+                           .coord = DdrCoord{channel_index, refresh.rank, refresh.bank,
+                                             static_cast<uint32_t>(target), 0},
+                           .requested = now},
+                          "mc.mitigation_refresh_dropped")) {
         return;
       }
-      InternalOp op;
-      op.kind = InternalOpKind::kRefreshRow;
-      op.coord =
-          DdrCoord{channel_index, refresh.rank, refresh.bank, static_cast<uint32_t>(target), 0};
-      op.auto_precharge = true;
-      op.requested = now;
-      channel.internal_ops.push_back(std::move(op));
     }
   }
 }

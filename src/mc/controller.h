@@ -54,9 +54,6 @@ struct McConfig {
   // Mitigation neighbour refreshes / software victim refreshes use the
   // REF_NEIGHBORS command (DRAM assist) instead of per-row PRE+ACT pairs.
   bool use_ref_neighbors = false;
-  // Blast radius software/mitigations assume when refreshing neighbours.
-  // 0 = use the device's true radius (perfectly calibrated defense).
-  uint32_t assumed_blast_radius = 0;
   // Event-driven busy-phase scheduling: each channel keeps the exact
   // earliest cycle any scheduling stage could issue (after failed scans
   // and after issues alike), NextWake returns that cycle instead of
@@ -223,13 +220,13 @@ class MemoryController {
 
   struct InternalOp {
     InternalOpKind kind = InternalOpKind::kRefreshRow;
-    DdrCoord coord;
+    DdrCoord coord{};
     bool auto_precharge = true;
     uint32_t blast = 0;
     bool activated = false;  // ACT already issued (awaiting final PRE).
     Cycle requested = 0;
     PhysAddr addr = 0;
-    RefreshDoneCallback done;
+    RefreshDoneCallback done = nullptr;
   };
 
   struct InFlightRead {
@@ -258,7 +255,7 @@ class MemoryController {
     // Scheduler memo: the earliest cycle TryRequests can issue given the
     // current state (kNeverCycle with an empty queue), and on every cycle
     // before it a scan would fail with the same throttle count. A failed
-    // scan and a request issue derive it (ProbeRequests); an enqueue
+    // scan and a request issue derive it (ScanRequests); an enqueue
     // lowers it by the newcomer's own command; a REF, an internal-op
     // command or a mitigation epoch resets it to 0, forcing a fresh scan.
     Cycle next_sched = kNeverCycle;
@@ -282,35 +279,44 @@ class MemoryController {
   // Each stage returns true iff it issued a command. `retry` is lowered to
   // the earliest cycle the stage could act next given unchanged channel
   // state (kNeverCycle when only a state change can unblock it); after an
-  // issue only TryRequests sets it.
+  // issue only TryRequests' value is used.
   bool TryRefreshManager(uint32_t channel, Cycle now, Cycle& retry);
   bool TryInternalOps(uint32_t channel, Cycle now, Cycle& retry);
-  // FR-FCFS over the bank lists, in three passes: (1) the oldest row hit
-  // whose RD/WR is legal; (2) the oldest closed bank's head whose ACT is
-  // legal and unthrottled; (3) the oldest open bank's head that misses
-  // the open row, whose PRE is legal. Passes 1 and 2 skip draining
-  // slots. RD/WR/ACT/PRE legality depends only on (command, rank, bank),
-  // so each bank contributes at most its oldest read hit and oldest
-  // write hit to pass 1 and only its head to passes 2 and 3. Both after a
-  // failed scan and after an issue it re-derives next_sched and the
-  // throttle interval from ProbeRequests.
+  // FR-FCFS: issues the pick of ScanRequests(now). Both after a failed
+  // scan and after an issue it re-derives next_sched and the throttle
+  // interval from a scan's memo.
   bool TryRequests(uint32_t channel, Cycle now, Cycle& retry);
-  // What the three passes would see from cycle `from` on with no state
-  // change: the earliest cycle >= `from` at which any candidate's command
-  // is legal, or a throttled head is released, or (with a throttled head)
-  // the next slot starts draining; and the number of throttled heads.
-  // Changes no stat and no mitigation state (only the pass-1 hit memo).
-  struct RequestOutlook {
+  // The one FR-FCFS candidate walk, in three passes: (1) each open bank's
+  // oldest read hit and oldest write hit (RD/WR); (2) closed banks' heads,
+  // oldest first (ACT, unless the mitigation throttles the head); (3) open
+  // banks' heads that miss the open row (PRE). Passes 1 and 2 skip slots
+  // draining at `at`. RD/WR/ACT/PRE legality depends only on (command,
+  // rank, bank), so each bank contributes at most these candidates.
+  struct RequestScan {
+    // The oldest candidate legal at `at` of the first pass that has one
+    // (kNil = none), and its command.
+    uint32_t pick = kNil;
+    DdrCommand cmd;
+    // Throttled heads met before the pick, in seq order.
+    uint32_t stalls = 0;
+    // The memo, exact when the walk ran to the end (no pick, or
+    // !stop_at_pick): the earliest cycle >= `at` at which any candidate's
+    // command is legal, or a throttled head is released, or (with a
+    // throttled head) the next slot starts draining; and the number of
+    // throttled heads.
     Cycle earliest = kNeverCycle;
     uint32_t throttled = 0;
   };
-  RequestOutlook ProbeRequests(uint32_t channel, Cycle from);
+  // With `stop_at_pick` the walk returns after the first pass that picks,
+  // so the throttle is asked about no head past the pick. Changes no stat
+  // and no mitigation state (only the pass-1 hit memo).
+  RequestScan ScanRequests(uint32_t channel, Cycle at, bool stop_at_pick);
   // Slots (rank * banks + bank) draining for an overdue REF at `at`; the
   // earliest due after `at` is folded into `next_due` when given.
   uint64_t DrainingSlots(const ChannelState& channel, Cycle at,
                          Cycle* next_due = nullptr) const;
   // Sets and returns next_sched after a request command issued at `now`:
-  // derived from ProbeRequests(now + 1), or 0 (rescan next cycle) when a
+  // derived from ScanRequests(now + 1), or 0 (rescan next cycle) when a
   // slot drains by then or internal ops wait, since either can change
   // what the other stages do.
   Cycle MemoAfterIssue(uint32_t channel, Cycle now);
@@ -330,7 +336,9 @@ class MemoryController {
   void NotifyMitigationActivate(const DdrCoord& coord, Cycle now);
   // Expands a neighbour-refresh request into internal ops.
   void EnqueueNeighborRefresh(const NeighborRefreshRequest& refresh, uint32_t channel, Cycle now);
-  uint32_t EffectiveBlast() const;
+  // Queues an internal op and resets the channel memo; when the queue is
+  // full, counts `rejected_stat` instead and returns false.
+  bool PushInternalOp(uint32_t channel, InternalOp op, const char* rejected_stat);
 
   DramConfig dram_config_;
   McConfig config_;

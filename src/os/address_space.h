@@ -23,7 +23,6 @@ class AddressSpace {
   DomainId domain() const { return domain_; }
 
   void MapPage(VirtAddr va_page, uint64_t frame) { pages_[va_page / kPageBytes] = frame; }
-  void UnmapPage(VirtAddr va_page) { pages_.erase(va_page / kPageBytes); }
 
   std::optional<uint64_t> FrameOf(VirtAddr va) const {
     auto it = pages_.find(va / kPageBytes);
@@ -42,7 +41,6 @@ class AddressSpace {
   }
 
   const std::unordered_map<uint64_t, uint64_t>& pages() const { return pages_; }
-  size_t page_count() const { return pages_.size(); }
 
  private:
   DomainId domain_;

@@ -176,7 +176,6 @@ bool TenantManager::CreateSlot(uint32_t slot, uint64_t generation) {
     // Pool exhausted: the slot goes dark until a later churn retries it.
     kernel_->DestroyDomain(domain);
     entry.domain = kInvalidDomain;
-    entry.base = 0;
     entry.generation = generation;
     entry.stream = nullptr;
     ++alloc_failures_;
@@ -227,7 +226,6 @@ bool TenantManager::CreateColocatedPair() {
       kernel_->DestroyDomain(domains[i]);
       Slot& entry = slots_[pair[i]];
       entry.domain = kInvalidDomain;
-      entry.base = 0;
       entry.generation = 0;
       entry.stream = nullptr;
       ++alloc_failures_;
@@ -244,7 +242,6 @@ void TenantManager::FinishSlot(uint32_t slot, uint64_t generation, DomainId doma
                                VirtAddr base, uint64_t pages) {
   Slot& entry = slots_[slot];
   entry.domain = domain;
-  entry.base = base;
   entry.generation = generation;
   domain_slot_[domain] = slot;
 
@@ -357,7 +354,6 @@ void TenantManager::HarvestFlips() {
 }
 
 void TenantManager::ClassifyFlip(uint32_t channel, const FlipRecord& flip) {
-  ++classified_flips_;
   const std::vector<DomainId> victims =
       kernel_->RowOwners(channel, flip.rank, flip.bank, flip.victim_row);
   const std::vector<DomainId> aggressors =
@@ -366,7 +362,6 @@ void TenantManager::ClassifyFlip(uint32_t channel, const FlipRecord& flip) {
                                 ? flip.victim_row - flip.aggressor_row
                                 : flip.aggressor_row - flip.victim_row;
   if (victims.empty()) {
-    ++unattributed_flips_;
     if (flip_samples_.size() < kMaxFlipSamples) {
       flip_samples_.push_back({kNoSlot, kNoSlot, distance, false});
     }

@@ -151,29 +151,24 @@ class TenantManager {
   const TenantConfig& config() const { return config_; }
   uint32_t slot_count() const { return config_.slots; }
   DomainId DomainOf(uint32_t slot) const { return slots_[slot].domain; }
-  VirtAddr BaseOf(uint32_t slot) const { return slots_[slot].base; }
   uint64_t GenerationOf(uint32_t slot) const { return slots_[slot].generation; }
   uint32_t SlotOfDomain(DomainId domain) const;
 
   // --- Accounting ---------------------------------------------------------
 
-  uint64_t classified_flips() const { return classified_flips_; }
   // Flips that escaped an allocation boundary: some victim tenant owns
   // the flipped row and is not among the aggressor row's owners.
   uint64_t escaped_flips() const { return escaped_flips_; }
   uint64_t intra_tenant_flips() const { return intra_tenant_flips_; }
-  uint64_t unattributed_flips() const { return unattributed_flips_; }
   // Distinct victim slots hit by at least one escaped flip.
   uint64_t tenants_hit() const;
   uint64_t churn_events() const { return churn_events_; }
   uint64_t alloc_failures() const { return alloc_failures_; }
-  uint64_t escaped_into(uint32_t slot) const { return slots_[slot].escaped_received; }
   const std::vector<TenantFlipRecord>& flip_samples() const { return flip_samples_; }
 
  private:
   struct Slot {
     DomainId domain = kInvalidDomain;
-    VirtAddr base = 0;
     uint64_t generation = 0;
     std::unique_ptr<InstructionStream> stream;
     uint64_t escaped_received = 0;  // Escaped flips landing in this slot.
@@ -194,10 +189,8 @@ class TenantManager {
   std::unordered_map<DomainId, uint32_t> domain_slot_;
   std::vector<size_t> harvest_cursor_;  // Per-channel flip-record cursor.
   std::vector<TenantFlipRecord> flip_samples_;
-  uint64_t classified_flips_ = 0;
   uint64_t escaped_flips_ = 0;
   uint64_t intra_tenant_flips_ = 0;
-  uint64_t unattributed_flips_ = 0;
   uint64_t churn_events_ = 0;
   uint64_t alloc_failures_ = 0;
 };

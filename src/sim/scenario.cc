@@ -37,16 +37,6 @@ std::optional<Kind> KindFromString(const KindEntry<Kind> (&table)[N], std::strin
 }
 
 template <typename Kind, size_t N>
-std::vector<Kind> AllOf(const KindEntry<Kind> (&table)[N]) {
-  std::vector<Kind> kinds;
-  kinds.reserve(N);
-  for (const auto& entry : table) {
-    kinds.push_back(entry.kind);
-  }
-  return kinds;
-}
-
-template <typename Kind, size_t N>
 std::string JoinNames(const KindEntry<Kind> (&table)[N]) {
   std::string out;
   for (const auto& entry : table) {
@@ -93,11 +83,6 @@ std::optional<DefenseKind> DefenseKindFromString(std::string_view name) {
   return KindFromString(kDefenseKinds, name);
 }
 
-const std::vector<DefenseKind>& AllDefenseKinds() {
-  static const std::vector<DefenseKind> kinds = AllOf(kDefenseKinds);
-  return kinds;
-}
-
 std::string KnownDefenseKinds() { return JoinNames(kDefenseKinds); }
 
 const char* ToString(HwMitigationKind kind) { return NameOf(kHwMitigationKinds, kind); }
@@ -106,22 +91,12 @@ std::optional<HwMitigationKind> HwMitigationKindFromString(std::string_view name
   return KindFromString(kHwMitigationKinds, name);
 }
 
-const std::vector<HwMitigationKind>& AllHwMitigationKinds() {
-  static const std::vector<HwMitigationKind> kinds = AllOf(kHwMitigationKinds);
-  return kinds;
-}
-
 std::string KnownHwMitigationKinds() { return JoinNames(kHwMitigationKinds); }
 
 const char* ToString(AttackKind kind) { return NameOf(kAttackKinds, kind); }
 
 std::optional<AttackKind> AttackKindFromString(std::string_view name) {
   return KindFromString(kAttackKinds, name);
-}
-
-const std::vector<AttackKind>& AllAttackKinds() {
-  static const std::vector<AttackKind> kinds = AllOf(kAttackKinds);
-  return kinds;
 }
 
 std::string KnownAttackKinds() { return JoinNames(kAttackKinds); }

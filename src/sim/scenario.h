@@ -28,13 +28,11 @@ enum class DefenseKind : uint8_t {
 };
 
 // Canonical-name registries. Every kind enum has a ToString/FromString
-// round-trip (FromString also accepts documented aliases), an All*()
-// enumeration in declaration order, and a Known*() comma-joined name list
-// for CLI usage/error text. The sweep grid and result cache key off the
+// round-trip (FromString also accepts documented aliases) and a Known*()
+// comma-joined name list, in declaration order, for CLI usage/error text. The sweep grid and result cache key off the
 // canonical names, so renaming one invalidates cached sweep cells.
 const char* ToString(DefenseKind kind);
 std::optional<DefenseKind> DefenseKindFromString(std::string_view name);
-const std::vector<DefenseKind>& AllDefenseKinds();
 std::string KnownDefenseKinds();
 
 // Adjusts a SystemConfig so the chosen defense's hardware prerequisites
@@ -56,7 +54,6 @@ enum class HwMitigationKind : uint8_t {
 
 const char* ToString(HwMitigationKind kind);
 std::optional<HwMitigationKind> HwMitigationKindFromString(std::string_view name);
-const std::vector<HwMitigationKind>& AllHwMitigationKinds();
 std::string KnownHwMitigationKinds();
 
 void InstallHwMitigation(System& system, HwMitigationKind kind);
@@ -76,7 +73,6 @@ enum class AttackKind : uint8_t {
 
 const char* ToString(AttackKind kind);
 std::optional<AttackKind> AttackKindFromString(std::string_view name);
-const std::vector<AttackKind>& AllAttackKinds();
 std::string KnownAttackKinds();
 
 // --- Tenants -------------------------------------------------------------

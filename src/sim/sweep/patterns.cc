@@ -95,10 +95,6 @@ std::vector<SweepCellSpec> ExpandPatternGrid(const PatternCampaignGrid& grid) {
   return KeyedCells(specs);
 }
 
-SweepOutcome RunPatternCampaign(const PatternCampaignGrid& grid, const SweepOptions& options) {
-  return RunCells(ExpandPatternGrid(grid), options, MakePatternReport, "hammerpattern");
-}
-
 JsonValue MakePatternReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
   JsonValue report = MakeCellReport(kPatternReportSchema, grid_cells, std::move(cells));
 
@@ -172,10 +168,6 @@ JsonValue MakePatternReport(uint64_t grid_cells, std::vector<JsonValue> cells) {
   }
   report.Set("ranking", std::move(ranking));
   return report;
-}
-
-JsonValue MergePatternReports(const std::vector<JsonValue>& reports, std::string* error) {
-  return MergeCellReports(reports, ValidatePatternReport, MakePatternReport, error);
 }
 
 }  // namespace ht

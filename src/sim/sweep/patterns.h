@@ -65,22 +65,12 @@ struct PatternCampaignGrid {
 // sharding order, exactly like ExpandGrid).
 std::vector<SweepCellSpec> ExpandPatternGrid(const PatternCampaignGrid& grid);
 
-// Runs the campaign on the shared cell executor ("hammerpattern"
-// heartbeat label) and assembles the pattern report.
-SweepOutcome RunPatternCampaign(const PatternCampaignGrid& grid,
-                                const SweepOptions& options = {});
-
 // Builds a hammertime.pattern_report.v1 from completed cells: the
 // key-sorted cell array plus `patterns` (one summary per distinct
 // pattern_seed, rebuilt via BuildScenarioPattern from the cell's DRAM
 // profile) and `ranking` (per-vendor groups sorted by name; entries by
 // flips desc, then pattern_seed asc).
 JsonValue MakePatternReport(uint64_t grid_cells, std::vector<JsonValue> cells);
-
-// Shard-merge for pattern reports; byte-identical to the unsharded
-// report over the same cells (sections are rebuilt from the cell union).
-JsonValue MergePatternReports(const std::vector<JsonValue>& reports,
-                              std::string* error = nullptr);
 
 }  // namespace ht
 

@@ -305,10 +305,6 @@ SweepOutcome RunCells(const std::vector<SweepCellSpec>& all, const SweepOptions&
   return outcome;
 }
 
-SweepOutcome RunSweep(const SweepGrid& grid, const SweepOptions& options) {
-  return RunCells(ExpandGrid(grid), options, MakeSweepReport, "hammersweep");
-}
-
 JsonValue MergeCellReports(const std::vector<JsonValue>& reports,
                            bool (*validate)(const JsonValue&, std::string*),
                            ReportBuilder make_report, std::string* error) {
@@ -352,10 +348,6 @@ JsonValue MergeCellReports(const std::vector<JsonValue>& reports,
     cells.push_back(std::move(cell));
   }
   return make_report(grid_cells, std::move(cells));
-}
-
-JsonValue MergeSweepReports(const std::vector<JsonValue>& reports, std::string* error) {
-  return MergeCellReports(reports, ValidateSweepReport, MakeSweepReport, error);
 }
 
 }  // namespace ht

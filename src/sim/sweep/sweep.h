@@ -101,19 +101,13 @@ struct SweepOutcome {
 // the same builder serves fresh runs and shard merges.
 using ReportBuilder = JsonValue (*)(uint64_t grid_cells, std::vector<JsonValue> cells);
 
-// The generic cell executor under CampaignMain (and RunSweep and
-// RunPatternCampaign, which the tests drive directly): takes
-// an already-expanded key-sorted cell list, runs this shard's missing
+// The generic cell executor under CampaignMain: takes an
+// already-expanded key-sorted cell list, runs this shard's missing
 // cells (deterministic spec order on the worker pool, resumable via the
 // cell cache), persists each completed cell, and assembles the report
 // with `make_report`. `progress_label` prefixes heartbeat lines.
 SweepOutcome RunCells(const std::vector<SweepCellSpec>& cells, const SweepOptions& options,
                       ReportBuilder make_report, const char* progress_label = "hammersweep");
-
-// Expands `grid`, executes this shard's missing cells (deterministic spec
-// order on the worker pool), persists each completed cell to the cache,
-// and builds the report from every completed cell.
-SweepOutcome RunSweep(const SweepGrid& grid, const SweepOptions& options = {});
 
 // The part every campaign report shares: `schema`, `grid_cells`, and the
 // completed cells sorted by key. Campaign builders append their derived
@@ -137,12 +131,6 @@ std::string FieldStr(const JsonValue& object, const char* name);
 JsonValue MergeCellReports(const std::vector<JsonValue>& reports,
                            bool (*validate)(const JsonValue&, std::string*),
                            ReportBuilder make_report, std::string* error = nullptr);
-
-// Unions shard reports by cell key. All inputs must validate, agree on
-// grid_cells, and agree on any key they share; the merged report is
-// byte-identical to the unsharded report over the same cells. Returns a
-// null JsonValue with `error` set on any mismatch.
-JsonValue MergeSweepReports(const std::vector<JsonValue>& reports, std::string* error = nullptr);
 
 }  // namespace ht
 

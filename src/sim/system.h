@@ -93,7 +93,6 @@ class System {
   // Runs until every core halted and the MC drained, or `max_cycles`.
   void RunUntilQuiesced(Cycle max_cycles);
   Cycle now() const { return now_; }
-  void set_skip_idle(bool skip) { config_.skip_idle = skip; }
 
   // Writes back all dirty LLC lines to DRAM (end-of-run accounting before
   // golden verification).

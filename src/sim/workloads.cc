@@ -91,7 +91,7 @@ namespace {
 
 // Registry table in the style of scenario.cc's KindEntry registries:
 // canonical name + factory. Declaration order is the canonical listing
-// order reported by AllWorkloadKinds()/KnownWorkloadKinds().
+// order reported by AllWorkloadKinds().
 struct WorkloadEntry {
   const char* name;
   WorkloadFactory factory;
@@ -129,17 +129,6 @@ const std::vector<std::string>& AllWorkloadKinds() {
     return names;
   }();
   return kinds;
-}
-
-std::string KnownWorkloadKinds() {
-  std::string joined;
-  for (const WorkloadEntry& entry : kWorkloadKinds) {
-    if (!joined.empty()) {
-      joined += ",";
-    }
-    joined += entry.name;
-  }
-  return joined;
 }
 
 bool IsWorkloadKind(const std::string& kind) { return WorkloadFactoryFor(kind) != nullptr; }

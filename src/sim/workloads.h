@@ -109,8 +109,6 @@ using WorkloadFactory = std::unique_ptr<InstructionStream> (*)(const WorkloadPar
 
 // All canonical workload kind names, in registration order.
 const std::vector<std::string>& AllWorkloadKinds();
-// Comma-joined canonical names, for CLI help strings.
-std::string KnownWorkloadKinds();
 // True iff `kind` names a registered workload.
 bool IsWorkloadKind(const std::string& kind);
 // Factory for `kind`, or nullptr if unknown.

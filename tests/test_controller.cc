@@ -165,6 +165,25 @@ TEST_F(ControllerTest, RefreshInstructionRepairsRow) {
   EXPECT_EQ(mc_->stats().Get("mc.refresh_instr_acts"), 1u);
 }
 
+// A refresh instruction aimed at a rank that drains for an overdue REF
+// waits for the REF instead of opening a row the REF would have to close.
+TEST_F(ControllerTest, DrainingRankHoldsRefreshInstructionUntilRef) {
+  const Cycle due = mc_->dram_config().RefPeriod();
+  // Its tRAS keeps PREA, and so the REF, illegal at `due`.
+  ASSERT_EQ(mc_->device(0).Issue(DdrCommand::Act(0, 0, 5), due - 20), TimingVerdict::kOk);
+  now_ = due;
+  ASSERT_TRUE(mc_->RefreshRow(mc_->mapper().AddrOf(DdrCoord{0, 0, 1, 7, 0}), true, now_));
+  ASSERT_EQ(mc_->device(0).Check(DdrCommand::Act(0, 1, 7), now_), TimingVerdict::kOk);
+  while (mc_->stats().Get("mc.refs_issued") == 0 && now_ < due + 2000) {
+    RunFor(1);
+    ASSERT_EQ(mc_->stats().Get("mc.refresh_instr_acts"), 0u) << "ACT before REF at " << now_;
+  }
+  ASSERT_EQ(mc_->stats().Get("mc.refs_issued"), 1u);
+  RunFor(500);
+  EXPECT_EQ(mc_->stats().Get("mc.refresh_instr_acts"), 1u);
+  EXPECT_TRUE(mc_->Idle());
+}
+
 TEST_F(ControllerTest, RefreshNeighborsCommandRepairsVictims) {
   const AddressMapper& mapper = mc_->mapper();
   DdrCoord aggressor = mapper.Map(0);

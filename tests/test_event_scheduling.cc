@@ -60,13 +60,15 @@ struct VariantOutcome {
 
 // One hammer core plus one benign streaming core (row conflicts, window
 // stalls, and MC backpressure all get exercised), run for `cycles`.
-VariantOutcome RunVariant(bool event_driven, Hw hw, bool per_bank_refresh, Cycle cycles) {
+VariantOutcome RunVariant(bool event_driven, Hw hw, bool per_bank_refresh, bool ref_neighbors,
+                          Cycle cycles) {
   SystemConfig config;
   config.cores = 2;
   config.core.window = 2;  // Small window: force window-stall intervals.
   config.mc.event_driven = event_driven;
   config.core.event_driven = event_driven;
   config.dram.retention.per_bank_refresh = per_bank_refresh;
+  config.mc.use_ref_neighbors = ref_neighbors;
   // Shrink the refresh window so mitigation epochs roll over in-test.
   config.dram.retention.refresh_window = 200000;
   config.dram.retention.ref_commands_per_window = 64;
@@ -109,27 +111,64 @@ VariantOutcome RunVariant(bool event_driven, Hw hw, bool per_bank_refresh, Cycle
   return outcome;
 }
 
-void ExpectVariantsMatch(Hw hw, bool per_bank_refresh, Cycle cycles) {
-  const VariantOutcome event = RunVariant(true, hw, per_bank_refresh, cycles);
-  const VariantOutcome legacy = RunVariant(false, hw, per_bank_refresh, cycles);
+// Exact counts of the stages both modes share (refresh manager, internal
+// ops, mitigation hooks): the event-vs-legacy comparison cannot see a
+// change there, so each case pins its values.
+struct PinnedCounts {
+  uint64_t refs = 0;
+  uint64_t refs_sb = 0;
+  uint64_t refresh_instr_acts = 0;
+  uint64_t mitigation_refreshes = 0;
+  uint64_t table_probes = 0;
+  uint64_t flips = 0;
+  uint64_t ops = 0;
+};
+
+void ExpectVariantsMatch(Hw hw, bool per_bank_refresh, bool ref_neighbors, Cycle cycles,
+                         const PinnedCounts& pinned) {
+  const VariantOutcome event = RunVariant(true, hw, per_bank_refresh, ref_neighbors, cycles);
+  const VariantOutcome legacy = RunVariant(false, hw, per_bank_refresh, ref_neighbors, cycles);
   EXPECT_EQ(event.end, legacy.end);
   EXPECT_EQ(event.flips, legacy.flips);
   EXPECT_EQ(event.ops, legacy.ops);
   ExpectStatsIdentical(event.stats, legacy.stats);
   // The fast path must actually engage: strictly fewer scheduling wakes.
   EXPECT_LT(event.wake_batches, legacy.wake_batches);
+
+  EXPECT_EQ(event.stats.Get("mc.refs_issued"), pinned.refs);
+  EXPECT_EQ(event.stats.Get("mc.refs_sb_issued"), pinned.refs_sb);
+  EXPECT_EQ(event.stats.Get("mc.refresh_instr_acts"), pinned.refresh_instr_acts);
+  EXPECT_EQ(event.stats.Get("mc.mitigation_refreshes"), pinned.mitigation_refreshes);
+  EXPECT_EQ(event.stats.Get("act.table_probes"), pinned.table_probes);
+  EXPECT_EQ(event.flips, pinned.flips);
+  EXPECT_EQ(event.ops, pinned.ops);
 }
 
 TEST(EventScheduling, MatchesLegacyOnHammerPlusStream) {
-  ExpectVariantsMatch(Hw::kNone, false, 400000);
+  ExpectVariantsMatch(Hw::kNone, false, false, 400000,
+                      {.refs = 127, .table_probes = 113679, .ops = 39477});
 }
 
 TEST(EventScheduling, MatchesLegacyUnderBlockHammerThrottle) {
-  ExpectVariantsMatch(Hw::kBlockHammer, false, 450000);
+  ExpectVariantsMatch(Hw::kBlockHammer, false, false, 450000,
+                      {.refs = 143, .table_probes = 153191, .ops = 44127});
 }
 
 TEST(EventScheduling, MatchesLegacyUnderGrapheneWithPerBankRefresh) {
-  ExpectVariantsMatch(Hw::kGraphene, true, 450000);
+  ExpectVariantsMatch(Hw::kGraphene, true, false, 450000,
+                      {.refs_sb = 1144,
+                       .refresh_instr_acts = 12,
+                       .mitigation_refreshes = 4,
+                       .table_probes = 184624,
+                       .ops = 49014});
+}
+
+TEST(EventScheduling, MatchesLegacyUnderGrapheneWithRefNeighbors) {
+  ExpectVariantsMatch(Hw::kGraphene, false, true, 450000,
+                      {.refs = 143,
+                       .mitigation_refreshes = 4,
+                       .table_probes = 164829,
+                       .ops = 44022});
 }
 
 struct ThrottledDmaRun {

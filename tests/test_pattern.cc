@@ -225,7 +225,7 @@ TEST(PatternCampaign, SerialParallelResumeAndShardsByteIdentical) {
   const PatternCampaignGrid grid = TinyCampaign();
   SweepOptions serial;
   serial.threads = 1;
-  const SweepOutcome full = RunPatternCampaign(grid, serial);
+  const SweepOutcome full = RunCells(ExpandPatternGrid(grid), serial, MakePatternReport);
   ASSERT_TRUE(full.ok) << full.error;
   EXPECT_EQ(full.total_cells, 4u);
   std::string error;
@@ -234,7 +234,7 @@ TEST(PatternCampaign, SerialParallelResumeAndShardsByteIdentical) {
 
   SweepOptions parallel;
   parallel.threads = 4;
-  const SweepOutcome threaded = RunPatternCampaign(grid, parallel);
+  const SweepOutcome threaded = RunCells(ExpandPatternGrid(grid), parallel, MakePatternReport);
   ASSERT_TRUE(threaded.ok) << threaded.error;
   EXPECT_EQ(threaded.report.ToString(), golden);
 
@@ -243,12 +243,12 @@ TEST(PatternCampaign, SerialParallelResumeAndShardsByteIdentical) {
   interrupted.cache_dir = dir;
   interrupted.resume = true;
   interrupted.max_cells = 1;
-  const SweepOutcome partial = RunPatternCampaign(grid, interrupted);
+  const SweepOutcome partial = RunCells(ExpandPatternGrid(grid), interrupted, MakePatternReport);
   ASSERT_TRUE(partial.ok) << partial.error;
   EXPECT_EQ(partial.executed_cells, 1u);
   SweepOptions resume = interrupted;
   resume.max_cells = 0;
-  const SweepOutcome resumed = RunPatternCampaign(grid, resume);
+  const SweepOutcome resumed = RunCells(ExpandPatternGrid(grid), resume, MakePatternReport);
   ASSERT_TRUE(resumed.ok) << resumed.error;
   EXPECT_EQ(resumed.cached_cells, 1u);
   EXPECT_EQ(resumed.report.ToString(), golden);
@@ -257,18 +257,20 @@ TEST(PatternCampaign, SerialParallelResumeAndShardsByteIdentical) {
   SweepOptions shard = serial;
   shard.shard_count = 2;
   shard.shard_index = 1;
-  const SweepOutcome shard1 = RunPatternCampaign(grid, shard);
+  const SweepOutcome shard1 = RunCells(ExpandPatternGrid(grid), shard, MakePatternReport);
   shard.shard_index = 2;
-  const SweepOutcome shard2 = RunPatternCampaign(grid, shard);
+  const SweepOutcome shard2 = RunCells(ExpandPatternGrid(grid), shard, MakePatternReport);
   ASSERT_TRUE(shard1.ok && shard2.ok);
   EXPECT_EQ(shard1.shard_cells + shard2.shard_cells, full.total_cells);
-  const JsonValue merged = MergePatternReports({shard1.report, shard2.report}, &error);
+  const JsonValue merged = MergeCellReports({shard1.report, shard2.report},
+                                           ValidatePatternReport, MakePatternReport, &error);
   ASSERT_NE(merged.type(), JsonValue::Type::kNull) << error;
   EXPECT_EQ(merged.ToString(), golden);
 }
 
 TEST(PatternCampaign, ReportCarriesSummariesAndRanking) {
-  const SweepOutcome outcome = RunPatternCampaign(TinyCampaign(), SweepOptions{});
+  const SweepOutcome outcome =
+      RunCells(ExpandPatternGrid(TinyCampaign()), SweepOptions{}, MakePatternReport);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   const JsonValue* patterns = outcome.report.Find("patterns");
   ASSERT_NE(patterns, nullptr);
@@ -287,7 +289,8 @@ TEST(PatternCampaign, ReportCarriesSummariesAndRanking) {
 }
 
 TEST(PatternReport, ValidatorCatchesStructuralDamage) {
-  const SweepOutcome outcome = RunPatternCampaign(TinyCampaign(), SweepOptions{});
+  const SweepOutcome outcome =
+      RunCells(ExpandPatternGrid(TinyCampaign()), SweepOptions{}, MakePatternReport);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   std::string error;
   ASSERT_TRUE(ValidatePatternReport(outcome.report, &error)) << error;

@@ -112,7 +112,7 @@ TEST(RunSweep, ResumeCompletesOnlyMissingCells) {
 
   SweepOptions uncached;
   uncached.threads = 1;
-  const SweepOutcome full = RunSweep(grid, uncached);
+  const SweepOutcome full = RunCells(ExpandGrid(grid), uncached, MakeSweepReport);
   ASSERT_TRUE(full.ok) << full.error;
   EXPECT_EQ(full.total_cells, 3u);
   EXPECT_EQ(full.executed_cells, 3u);
@@ -121,14 +121,14 @@ TEST(RunSweep, ResumeCompletesOnlyMissingCells) {
   partial.cache_dir = dir;
   partial.resume = true;
   partial.max_cells = 1;
-  const SweepOutcome interrupted = RunSweep(grid, partial);
+  const SweepOutcome interrupted = RunCells(ExpandGrid(grid), partial, MakeSweepReport);
   ASSERT_TRUE(interrupted.ok) << interrupted.error;
   EXPECT_EQ(interrupted.executed_cells, 1u);
   EXPECT_EQ(interrupted.skipped_cells, 2u);
 
   SweepOptions resume = partial;
   resume.max_cells = 0;
-  const SweepOutcome resumed = RunSweep(grid, resume);
+  const SweepOutcome resumed = RunCells(ExpandGrid(grid), resume, MakeSweepReport);
   ASSERT_TRUE(resumed.ok) << resumed.error;
   EXPECT_EQ(resumed.cached_cells, 1u);
   EXPECT_EQ(resumed.executed_cells, 2u);
@@ -143,7 +143,7 @@ TEST(RunSweep, BinaryCacheResumesByteIdentically) {
 
   SweepOptions uncached;
   uncached.threads = 1;
-  const SweepOutcome full = RunSweep(grid, uncached);
+  const SweepOutcome full = RunCells(ExpandGrid(grid), uncached, MakeSweepReport);
   ASSERT_TRUE(full.ok) << full.error;
 
   // Interrupted binary-cache run: cells persist as .htb containers.
@@ -152,7 +152,7 @@ TEST(RunSweep, BinaryCacheResumesByteIdentically) {
   partial.resume = true;
   partial.binary_cache = true;
   partial.max_cells = 1;
-  const SweepOutcome interrupted = RunSweep(grid, partial);
+  const SweepOutcome interrupted = RunCells(ExpandGrid(grid), partial, MakeSweepReport);
   ASSERT_TRUE(interrupted.ok) << interrupted.error;
   EXPECT_EQ(interrupted.executed_cells, 1u);
   EXPECT_EQ(interrupted.cache_misses, 3u);
@@ -167,7 +167,7 @@ TEST(RunSweep, BinaryCacheResumesByteIdentically) {
   // the stitched report is byte-identical to the uninterrupted JSON run.
   SweepOptions resume = partial;
   resume.max_cells = 0;
-  const SweepOutcome resumed = RunSweep(grid, resume);
+  const SweepOutcome resumed = RunCells(ExpandGrid(grid), resume, MakeSweepReport);
   ASSERT_TRUE(resumed.ok) << resumed.error;
   EXPECT_EQ(resumed.cached_cells, 1u);
   EXPECT_EQ(resumed.executed_cells, 2u);
@@ -177,7 +177,7 @@ TEST(RunSweep, BinaryCacheResumesByteIdentically) {
   // loads every cell (the reader sniffs content, not extensions).
   SweepOptions json_mode = resume;
   json_mode.binary_cache = false;
-  const SweepOutcome warm = RunSweep(grid, json_mode);
+  const SweepOutcome warm = RunCells(ExpandGrid(grid), json_mode, MakeSweepReport);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_EQ(warm.cached_cells, 3u);
   EXPECT_EQ(warm.executed_cells, 0u);
@@ -188,7 +188,7 @@ TEST(RunSweep, BinaryCacheResumesByteIdentically) {
 TEST(RunSweep, OutcomeCarriesWallClockBreakdown) {
   SweepOptions options;
   options.threads = 1;
-  const SweepOutcome outcome = RunSweep(TinyGrid(), options);
+  const SweepOutcome outcome = RunCells(ExpandGrid(TinyGrid()), options, MakeSweepReport);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   // The breakdown is host timing, not report content: phases are
   // non-negative and bounded by the total, and the report itself stays
@@ -206,19 +206,20 @@ TEST(RunSweep, ShardUnionEqualsUnsharded) {
   const SweepGrid grid = TinyGrid();
   SweepOptions options;
   options.threads = 1;
-  const SweepOutcome full = RunSweep(grid, options);
+  const SweepOutcome full = RunCells(ExpandGrid(grid), options, MakeSweepReport);
   ASSERT_TRUE(full.ok) << full.error;
 
   options.shard_count = 2;
   options.shard_index = 1;
-  const SweepOutcome shard1 = RunSweep(grid, options);
+  const SweepOutcome shard1 = RunCells(ExpandGrid(grid), options, MakeSweepReport);
   options.shard_index = 2;
-  const SweepOutcome shard2 = RunSweep(grid, options);
+  const SweepOutcome shard2 = RunCells(ExpandGrid(grid), options, MakeSweepReport);
   ASSERT_TRUE(shard1.ok && shard2.ok);
   EXPECT_EQ(shard1.shard_cells + shard2.shard_cells, full.total_cells);
 
   std::string error;
-  const JsonValue merged = MergeSweepReports({shard1.report, shard2.report}, &error);
+  const JsonValue merged = MergeCellReports({shard1.report, shard2.report}, ValidateSweepReport,
+                                           MakeSweepReport, &error);
   ASSERT_NE(merged.type(), JsonValue::Type::kNull) << error;
   EXPECT_EQ(merged.ToString(), full.report.ToString());
 }
@@ -230,7 +231,7 @@ TEST(RunSweep, CorruptCacheEntryIsRecomputed) {
   options.threads = 1;
   options.cache_dir = dir;
   options.resume = true;
-  const SweepOutcome first = RunSweep(grid, options);
+  const SweepOutcome first = RunCells(ExpandGrid(grid), options, MakeSweepReport);
   ASSERT_TRUE(first.ok) << first.error;
   ASSERT_EQ(first.executed_cells, 3u);
 
@@ -254,7 +255,7 @@ TEST(RunSweep, CorruptCacheEntryIsRecomputed) {
   EXPECT_FALSE(cache.Load(key0, &why).has_value());
   EXPECT_FALSE(cache.Load(key1, &why).has_value());
 
-  const SweepOutcome second = RunSweep(grid, options);
+  const SweepOutcome second = RunCells(ExpandGrid(grid), options, MakeSweepReport);
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_EQ(second.cached_cells, 1u);    // Only the untouched cell survived.
   EXPECT_EQ(second.executed_cells, 2u);  // Both corrupt cells recomputed.
@@ -266,7 +267,7 @@ TEST(SweepReport, ValidatorCatchesStructuralDamage) {
   const SweepGrid grid = TinyGrid();
   SweepOptions options;
   options.threads = 1;
-  const SweepOutcome outcome = RunSweep(grid, options);
+  const SweepOutcome outcome = RunCells(ExpandGrid(grid), options, MakeSweepReport);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   std::string error;
   EXPECT_TRUE(ValidateSweepReport(outcome.report, &error)) << error;

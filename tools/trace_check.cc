@@ -11,14 +11,6 @@
 //                                         identical after zeroing the
 //                                         non-deterministic wall_seconds
 //                                         (serial-vs-parallel check).
-//   trace_check --bench-compare BASELINE CURRENT
-//                                         structural bench-report compare:
-//                                         same key sequences, same array
-//                                         sizes, numeric leaves stay
-//                                         numeric, and every "speedup"
-//                                         leaf in CURRENT is positive.
-//                                         Values are otherwise free to
-//                                         drift (host-dependent).
 //   trace_check --convert IN OUT          lossless format conversion:
 //                                         hammertime.bin.v1 traces become
 //                                         Chrome JSON, binary documents
@@ -31,7 +23,9 @@
 //                                         wall-clock/rate leaves are
 //                                         compared as normalized shares
 //                                         (host-speed invariant) within
-//                                         the tolerance ratio.
+//                                         the tolerance ratio. Key,
+//                                         array-size and container/scalar
+//                                         changes and speedup drops fail.
 //   trace_check --inject-slowdown FACTOR IN OUT [SCOPE]
 //                                         test helper: scales timing
 //                                         leaves under the dotted path
@@ -43,12 +37,12 @@
 //
 // Exits 0 on success, 1 on validation failure, 2 on usage/IO errors.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/argparse.h"
 #include "common/telemetry/binary.h"
 #include "common/telemetry/json.h"
 #include "common/telemetry/report.h"
@@ -65,7 +59,6 @@ int Usage() {
       "       trace_check --pattern FILE\n"
       "       trace_check --cloud FILE\n"
       "       trace_check --compare FILE FILE\n"
-      "       trace_check --bench-compare BASELINE CURRENT\n"
       "       trace_check --convert IN OUT\n"
       "       trace_check --trend BASELINE CURRENT [--tolerance X]\n"
       "       trace_check --inject-slowdown FACTOR IN OUT [SCOPE]\n",
@@ -122,65 +115,13 @@ void ZeroWallSeconds(ht::JsonValue& value) {
   }
 }
 
-// Structural comparison for bench reports: the CURRENT document must keep
-// the BASELINE's shape (objects with the same key sequence, arrays of the
-// same size, scalars of the same type class — any numeric kind matches any
-// other), while leaf values may drift. Numeric leaves whose key contains
-// "speedup" must additionally be strictly positive in CURRENT: a zero or
-// negative speedup means a measurement path broke outright.
-bool BenchShapeMatches(const ht::JsonValue& baseline, const ht::JsonValue& current,
-                       const std::string& path, const std::string& key, std::string* error) {
-  using Type = ht::JsonValue::Type;
-  if (baseline.type() == Type::kObject || current.type() == Type::kObject) {
-    if (baseline.type() != Type::kObject || current.type() != Type::kObject) {
-      *error = path + ": object vs non-object";
-      return false;
-    }
-    if (baseline.members().size() != current.members().size()) {
-      *error = path + ": member count differs";
-      return false;
-    }
-    for (size_t i = 0; i < baseline.members().size(); ++i) {
-      const auto& [base_key, base_member] = baseline.members()[i];
-      const auto& [cur_key, cur_member] = current.members()[i];
-      if (base_key != cur_key) {
-        *error = path + ": key '" + base_key + "' vs '" + cur_key + "'";
-        return false;
-      }
-      if (!BenchShapeMatches(base_member, cur_member, path + "." + base_key, base_key, error)) {
-        return false;
-      }
-    }
+// Parses a whole finite number > 0; otherwise names `what` on stderr.
+bool ParsePositive(const char* what, const char* text, double* out) {
+  if (ht::ParseNumberToken(text, out) && *out > 0.0) {
     return true;
   }
-  if (baseline.type() == Type::kArray || current.type() == Type::kArray) {
-    if (baseline.type() != Type::kArray || current.type() != Type::kArray) {
-      *error = path + ": array vs non-array";
-      return false;
-    }
-    if (baseline.size() != current.size()) {
-      *error = path + ": array size differs";
-      return false;
-    }
-    for (size_t i = 0; i < baseline.size(); ++i) {
-      const std::string element = path + "[" + std::to_string(i) + "]";
-      if (!BenchShapeMatches(baseline.at(i), current.at(i), element, key, error)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  if (baseline.is_number() != current.is_number() ||
-      (!baseline.is_number() && baseline.type() != current.type())) {
-    *error = path + ": scalar type class differs";
-    return false;
-  }
-  if (current.is_number() && key.find("speedup") != std::string::npos &&
-      !(current.as_double() > 0.0)) {
-    *error = path + ": speedup is not positive";
-    return false;
-  }
-  return true;
+  std::fprintf(stderr, "trace_check: bad %s %s: need a finite number > 0\n", what, text);
+  return false;
 }
 
 }  // namespace
@@ -364,7 +305,9 @@ int main(int argc, char** argv) {
       if (std::string(argv[4]) != "--tolerance") {
         return Usage();
       }
-      options.tolerance = std::strtod(argv[5], nullptr);
+      if (!ParsePositive("--tolerance", argv[5], &options.tolerance)) {
+        return 2;
+      }
     }
     auto baseline = ParseFile(argv[2]);
     auto current = ParseFile(argv[3]);
@@ -390,9 +333,8 @@ int main(int argc, char** argv) {
     if (argc != 5 && argc != 6) {
       return Usage();
     }
-    const double factor = std::strtod(argv[2], nullptr);
-    if (!(factor > 0.0)) {
-      std::fprintf(stderr, "trace_check: bad factor %s\n", argv[2]);
+    double factor = 0.0;
+    if (!ParsePositive("--inject-slowdown factor", argv[2], &factor)) {
       return 2;
     }
     auto doc = ParseFile(argv[3]);
@@ -407,23 +349,6 @@ int main(int argc, char** argv) {
     }
     std::printf("trace_check: injected %.2fx slowdown (%s) %s -> %s\n", factor,
                 scope.empty() ? "whole document" : scope.c_str(), argv[3], argv[4]);
-    return 0;
-  }
-
-  if (mode == "--bench-compare") {
-    if (argc != 4) {
-      return Usage();
-    }
-    auto baseline = ParseFile(argv[2]);
-    auto current = ParseFile(argv[3]);
-    if (!baseline.has_value() || !current.has_value()) {
-      return 2;
-    }
-    if (!BenchShapeMatches(*baseline, *current, "$", "", &error)) {
-      std::fprintf(stderr, "trace_check: %s vs %s: %s\n", argv[2], argv[3], error.c_str());
-      return 1;
-    }
-    std::printf("trace_check: %s matches the shape of %s\n", argv[3], argv[2]);
     return 0;
   }
 
