@@ -7,21 +7,24 @@ namespace ht {
 void WatchSetDefense::Watch(DomainId domain, VirtAddr base, uint64_t pages) {
   // Collect the distinct (channel, rank, bank, row) coordinates the
   // region touches; keep one line address per row as the refresh target.
+  // The region is translated once per page (hence the aligned base).
+  HostKernel::RequirePageAligned("WatchSetDefense::Watch", domain, base);
   const AddressMapper& mapper = kernel_->mc().mapper();
   std::set<uint64_t> seen;
   for (uint64_t p = 0; p < pages; ++p) {
+    const auto pa_page = kernel_->Translate(domain, base + p * kPageBytes);
+    if (!pa_page.has_value()) {
+      continue;
+    }
     for (uint64_t l = 0; l < kLinesPerPage; ++l) {
-      const auto pa = kernel_->Translate(domain, base + p * kPageBytes + l * kLineBytes);
-      if (!pa.has_value()) {
-        continue;
-      }
-      const DdrCoord coord = mapper.Map(*pa);
+      const PhysAddr pa = *pa_page + l * kLineBytes;
+      const DdrCoord coord = mapper.Map(pa);
       uint64_t key = coord.channel;
       key = (key << 8) | coord.rank;
       key = (key << 8) | coord.bank;
       key = (key << 32) | coord.row;
       if (seen.insert(key).second) {
-        watched_rows_.push_back(*pa);
+        watched_rows_.push_back(pa);
       }
     }
   }

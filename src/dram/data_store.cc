@@ -1,27 +1,30 @@
 #include "dram/data_store.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace ht {
 
-void RowDataStore::WriteLine(uint64_t row_key, uint32_t column, uint64_t value) {
-  auto [it, inserted] = rows_.try_emplace(row_key);
-  if (inserted) {
-    it->second.assign(columns_, 0);
-  }
-  it->second[column] = value;
-  corruption_.erase(MaskKey(row_key, column));  // Fresh data is clean.
+void RowDataStore::KeyOutOfRange(uint64_t row_key) const {
+  std::fprintf(stderr, "RowDataStore: row key %llu outside the %zu-row table\n",
+               static_cast<unsigned long long>(row_key), rows_.size());
+  std::abort();
 }
 
-uint64_t RowDataStore::ReadLine(uint64_t row_key, uint32_t column) const {
-  auto it = rows_.find(row_key);
-  if (it == rows_.end()) {
-    return 0;
+void RowDataStore::WriteLine(uint64_t row_key, uint32_t column, uint64_t value) {
+  std::unique_ptr<uint64_t[]>& row = rows_[Checked(row_key)];
+  if (row == nullptr) {
+    row = std::make_unique<uint64_t[]>(columns_);  // Zero-filled.
   }
-  return it->second[column];
+  row[column] = value;
+  if (!corruption_.empty()) {
+    corruption_.erase(MaskKey(row_key, column));  // Fresh data is clean.
+  }
 }
 
 uint32_t RowDataStore::FlipRandomBits(uint64_t row_key, uint32_t bits) {
-  auto it = rows_.find(row_key);
-  if (it == rows_.end()) {
+  uint64_t* row = rows_[Checked(row_key)].get();
+  if (row == nullptr) {
     // Still consume RNG draws (two per bit: column + bit position) so flip
     // positions stay deterministic regardless of which rows hold data.
     for (uint32_t i = 0; i < bits; ++i) {
@@ -33,7 +36,7 @@ uint32_t RowDataStore::FlipRandomBits(uint64_t row_key, uint32_t bits) {
   for (uint32_t i = 0; i < bits; ++i) {
     const uint32_t column = static_cast<uint32_t>(rng_.NextBelow(columns_));
     const uint32_t bit = static_cast<uint32_t>(rng_.NextBelow(64));
-    it->second[column] ^= (1ULL << bit);
+    row[column] ^= (1ULL << bit);
     corruption_[MaskKey(row_key, column)] ^= (1ULL << bit);
   }
   return bits;

@@ -11,7 +11,8 @@ DramDevice::DramDevice(const DramConfig& config, uint32_t channel_index)
     : config_(config),
       channel_index_(channel_index),
       timing_(config.org, config.timing, /*ref_neighbors_supported=*/true),
-      data_(config.org.columns, config.flip_seed ^ (0x9e37ULL * (channel_index + 1))),
+      data_(uint64_t{config.org.ranks} * config.org.banks * config.org.rows_per_bank(),
+            config.org.columns, config.flip_seed ^ (0x9e37ULL * (channel_index + 1))),
       flip_bits_rng_(config.flip_seed ^ (0xB17f11bULL * (channel_index + 1))) {
   const uint32_t banks = config_.org.banks;
   units_.reserve(config_.org.ranks * banks);
@@ -48,7 +49,8 @@ DramDevice::DramDevice(const DramConfig& config, uint32_t channel_index)
 }
 
 uint64_t DramDevice::RowKey(uint32_t rank, uint32_t bank, uint32_t logical_row) const {
-  return (static_cast<uint64_t>(rank * config_.org.banks + bank) << 32) | logical_row;
+  return static_cast<uint64_t>(rank * config_.org.banks + bank) * config_.org.rows_per_bank() +
+         logical_row;
 }
 
 TimingVerdict DramDevice::Issue(const DdrCommand& cmd, Cycle now) {

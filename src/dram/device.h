@@ -124,6 +124,7 @@ class DramDevice {
   const BankUnit& unit(uint32_t rank, uint32_t bank) const {
     return units_[rank * config_.org.banks + bank];
   }
+  // Dense RowDataStore index: (rank * banks + bank) * rows_per_bank + row.
   uint64_t RowKey(uint32_t rank, uint32_t bank, uint32_t logical_row) const;
 
   void ApplyActivate(uint32_t rank, uint32_t bank, uint32_t logical_row, Cycle now);

@@ -1,35 +1,44 @@
 #include "os/kernel.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 
 #include "common/log.h"
 
 namespace ht {
 
 HostKernel::HostKernel(MemoryController* mc, FrameAllocator* allocator)
-    : mc_(mc), allocator_(allocator) {}
+    : mc_(mc), allocator_(allocator) {
+  domains_.push_back({{}, AddressSpace(0), 0, false});  // Id 0 is never handed out.
+}
+
+const HostKernel::Domain& HostKernel::Live(DomainId domain) const {
+  if (!HasDomain(domain)) {
+    throw std::out_of_range("HostKernel: domain " + std::to_string(domain) + " is not live");
+  }
+  return domains_[domain];
+}
 
 DomainId HostKernel::CreateDomain(const DomainSpec& spec) {
-  const DomainId id = next_domain_++;
-  specs_.emplace(id, spec);
-  spaces_.emplace(id, AddressSpace(id));
-  next_va_[id] = AddressSpace::BaseFor(id);
+  const auto id = static_cast<DomainId>(domains_.size());
+  domains_.push_back({spec, AddressSpace(id), AddressSpace::BaseFor(id), true});
   return id;
 }
 
 void HostKernel::DestroyDomain(DomainId domain) {
-  auto space_it = spaces_.find(domain);
-  if (space_it == spaces_.end()) {
+  if (!HasDomain(domain)) {
     return;
   }
+  Domain& entry = domains_[domain];
   // pages() is an unordered_map; sort by VA page so FreeFrame ordering
   // (and thus the free list the next tenant allocates from) is
   // deterministic across platforms.
-  std::vector<std::pair<uint64_t, uint64_t>> pages(space_it->second.pages().begin(),
-                                                   space_it->second.pages().end());
+  std::vector<std::pair<uint64_t, uint64_t>> pages(entry.space.pages().begin(),
+                                                   entry.space.pages().end());
   std::sort(pages.begin(), pages.end());
   for (const auto& [va_page, frame] : pages) {
-    frame_owner_.erase(frame);
     frame_va_.erase(frame);
     allocator_->FreeFrame(domain, frame);
   }
@@ -38,14 +47,14 @@ void HostKernel::DestroyDomain(DomainId domain) {
   filled_regions_.erase(std::remove_if(filled_regions_.begin(), filled_regions_.end(),
                                        [domain](const Region& r) { return r.domain == domain; }),
                         filled_regions_.end());
-  specs_.erase(domain);
-  spaces_.erase(space_it);
-  next_va_.erase(domain);
+  entry.spec = {};
+  entry.space = AddressSpace(domain);  // Releases the page table.
+  entry.live = false;
 }
 
 std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages) {
-  AddressSpace& space = spaces_.at(domain);
-  const VirtAddr base = next_va_.at(domain);
+  Domain& entry = Live(domain);
+  const VirtAddr base = entry.next_va;
   std::vector<uint64_t> frames;
   frames.reserve(pages);
   for (uint64_t i = 0; i < pages; ++i) {
@@ -60,11 +69,10 @@ std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages)
     frames.push_back(*frame);
   }
   for (uint64_t i = 0; i < pages; ++i) {
-    space.MapPage(base + i * kPageBytes, frames[i]);
-    frame_owner_[frames[i]] = domain;
+    entry.space.MapPage(base + i * kPageBytes, frames[i]);
     frame_va_[frames[i]] = {domain, base + i * kPageBytes};
   }
-  next_va_[domain] = base + pages * kPageBytes;
+  entry.next_va = base + pages * kPageBytes;
   stats_.Add("kernel.pages_allocated", pages);
 
   // §4.1 coordination: tell the MC which subarray group this domain uses
@@ -76,14 +84,6 @@ std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages)
   return base;
 }
 
-std::optional<PhysAddr> HostKernel::Translate(DomainId domain, VirtAddr va) const {
-  auto it = spaces_.find(domain);
-  if (it == spaces_.end()) {
-    return std::nullopt;
-  }
-  return it->second.Translate(va);
-}
-
 std::function<std::optional<PhysAddr>(VirtAddr)> HostKernel::TranslatorFor(DomainId domain) {
   return [this, domain](VirtAddr va) { return Translate(domain, va); };
 }
@@ -93,8 +93,8 @@ std::function<std::optional<PhysAddr>(VirtAddr)> HostKernel::MuxTranslator() {
 }
 
 DomainId HostKernel::OwnerOfFrame(uint64_t frame) const {
-  auto it = frame_owner_.find(frame);
-  return it == frame_owner_.end() ? kInvalidDomain : it->second;
+  auto it = frame_va_.find(frame);
+  return it == frame_va_.end() ? kInvalidDomain : it->second.first;
 }
 
 uint64_t HostKernel::PatternValue(DomainId domain, VirtAddr va_line) {
@@ -114,34 +114,49 @@ uint64_t HostKernel::ReadLineFromDram(PhysAddr pa) const {
   return mc_->device(coord.channel).ReadLine(coord.rank, coord.bank, coord.row, coord.column);
 }
 
+void HostKernel::RequirePageAligned(const char* caller, DomainId domain, VirtAddr base) {
+  if (base % kPageBytes != 0) {
+    std::fprintf(stderr, "%s: domain %u: base 0x%llx is not page-aligned\n", caller, domain,
+                 static_cast<unsigned long long>(base));
+    std::abort();
+  }
+}
+
+// Fill and verify translate once per page: with a page-aligned base every
+// line of a VA page lives in the same frame, at the same line offset.
 void HostKernel::FillRegion(DomainId domain, VirtAddr base, uint64_t pages) {
+  RequirePageAligned("FillRegion", domain, base);
   for (uint64_t p = 0; p < pages; ++p) {
+    const VirtAddr va_page = base + p * kPageBytes;
+    const auto pa_page = Translate(domain, va_page);
+    if (!pa_page.has_value()) {
+      continue;
+    }
     for (uint64_t l = 0; l < kLinesPerPage; ++l) {
-      const VirtAddr va = base + p * kPageBytes + l * kLineBytes;
-      const auto pa = Translate(domain, va);
-      if (pa.has_value()) {
-        WriteLineToDram(*pa, PatternValue(domain, va));
-      }
+      WriteLineToDram(*pa_page + l * kLineBytes, PatternValue(domain, va_page + l * kLineBytes));
     }
   }
   filled_regions_.push_back({domain, base, pages});
 }
 
 VerifyResult HostKernel::VerifyRegion(DomainId domain, VirtAddr base, uint64_t pages) const {
+  RequirePageAligned("VerifyRegion", domain, base);
   VerifyResult result;
-  const DomainSpec& domain_spec = specs_.at(domain);
+  const DomainSpec& domain_spec = spec(domain);
+  // §4.4: integrity-checked enclave corruption = system lockup.
+  const bool lockup = domain_spec.enclave && domain_spec.integrity_checked;
   for (uint64_t p = 0; p < pages; ++p) {
+    const VirtAddr va_page = base + p * kPageBytes;
+    const auto pa_page = Translate(domain, va_page);
+    if (!pa_page.has_value()) {
+      continue;
+    }
+    result.lines_checked += kLinesPerPage;
     for (uint64_t l = 0; l < kLinesPerPage; ++l) {
-      const VirtAddr va = base + p * kPageBytes + l * kLineBytes;
-      const auto pa = Translate(domain, va);
-      if (!pa.has_value()) {
-        continue;
-      }
-      ++result.lines_checked;
-      if (ReadLineFromDram(*pa) != PatternValue(domain, va)) {
+      if (ReadLineFromDram(*pa_page + l * kLineBytes) !=
+          PatternValue(domain, va_page + l * kLineBytes)) {
         ++result.corrupted_lines;
-        if (domain_spec.enclave && domain_spec.integrity_checked) {
-          // §4.4: integrity-checked enclave corruption = system lockup.
+        if (lockup) {
           ++result.dos_lockups;
         }
       }
@@ -196,9 +211,9 @@ bool HostKernel::MovePage(DomainId domain, VirtAddr va_page) {
 }
 
 bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new_frame_value) {
-  AddressSpace& space = spaces_.at(domain);
+  AddressSpace& domain_space = space(domain);
   const VirtAddr base = va_page / kPageBytes * kPageBytes;
-  const auto old_frame = space.FrameOf(base);
+  const auto old_frame = domain_space.FrameOf(base);
   if (!old_frame.has_value()) {
     return false;
   }
@@ -210,9 +225,7 @@ bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new
     const PhysAddr dst = *new_frame * kPageBytes + l * kLineBytes;
     WriteLineToDram(dst, ReadLineFromDram(src));
   }
-  space.MapPage(base, *new_frame);
-  frame_owner_[*new_frame] = domain;
-  frame_owner_.erase(*old_frame);
+  domain_space.MapPage(base, *new_frame);
   frame_va_[*new_frame] = {domain, base};
   frame_va_.erase(*old_frame);
   allocator_->FreeFrame(domain, *old_frame);
@@ -278,8 +291,7 @@ FlipAttribution HostKernel::AttributeFlips() const {
             aggressor_owners.end()) {
           cross = true;
         }
-        auto it = specs_.find(victim);
-        if (it != specs_.end() && it->second.enclave) {
+        if (HasDomain(victim) && domains_[victim].spec.enclave) {
           ++result.enclave_victims;
         }
       }

@@ -6,10 +6,10 @@
 #define HAMMERTIME_SRC_OS_KERNEL_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -50,9 +50,13 @@ class HostKernel {
   // --- Domains & memory ----------------------------------------------------
 
   DomainId CreateDomain(const DomainSpec& spec);
-  const DomainSpec& spec(DomainId domain) const { return specs_.at(domain); }
-  AddressSpace& space(DomainId domain) { return spaces_.at(domain); }
-  bool HasDomain(DomainId domain) const { return specs_.count(domain) != 0; }
+  // spec() and space() throw std::out_of_range for a domain that is not
+  // live (never created, or destroyed).
+  const DomainSpec& spec(DomainId domain) const { return Live(domain).spec; }
+  AddressSpace& space(DomainId domain) { return Live(domain).space; }
+  bool HasDomain(DomainId domain) const {
+    return domain < domains_.size() && domains_[domain].live;
+  }
 
   // Tears down a domain: unmaps every page (VA order, so the allocator's
   // free list sees a deterministic release sequence), returns frames to
@@ -64,7 +68,14 @@ class HostKernel {
   // when the allocator's pool for this domain is exhausted.
   std::optional<VirtAddr> AllocRegion(DomainId domain, uint64_t pages);
 
-  std::optional<PhysAddr> Translate(DomainId domain, VirtAddr va) const;
+  // Misses for a domain that is not live: its slot, if any, holds an
+  // empty address space.
+  std::optional<PhysAddr> Translate(DomainId domain, VirtAddr va) const {
+    if (domain >= domains_.size()) {
+      return std::nullopt;
+    }
+    return domains_[domain].space.Translate(va);
+  }
 
   // A translation closure suitable for Core::set_translate.
   std::function<std::optional<PhysAddr>(VirtAddr)> TranslatorFor(DomainId domain);
@@ -88,11 +99,17 @@ class HostKernel {
   static uint64_t PatternValue(DomainId domain, VirtAddr va_line);
 
   // Writes the golden pattern into every line of the region, directly to
-  // DRAM (setup-time, no timing charged).
+  // DRAM (setup-time, no timing charged). `base` must be page-aligned (as
+  // AllocRegion returns it): the region is translated once per page.
   void FillRegion(DomainId domain, VirtAddr base, uint64_t pages);
 
-  // Re-reads a filled region and counts corrupted lines.
+  // Re-reads a filled region and counts corrupted lines. `base` must be
+  // page-aligned, as for FillRegion.
   VerifyResult VerifyRegion(DomainId domain, VirtAddr base, uint64_t pages) const;
+
+  // Aborts, naming `caller`, the domain and the base, unless `base` is
+  // page-aligned. Region walks that translate once per page call it.
+  static void RequirePageAligned(const char* caller, DomainId domain, VirtAddr base);
 
   // Verifies every region ever filled.
   VerifyResult VerifyAll() const;
@@ -153,18 +170,31 @@ class HostKernel {
     uint64_t pages;
   };
 
+  // One slot per DomainId ever created, indexed by the id. Ids are
+  // sequential from 1 and never reused, so slot 0 never goes live and the
+  // next id is the table size. A destroyed domain's slot stays, not live
+  // and with an empty address space.
+  struct Domain {
+    DomainSpec spec;
+    AddressSpace space;
+    VirtAddr next_va = 0;  // Where the next AllocRegion starts.
+    bool live = false;
+  };
+
+  const Domain& Live(DomainId domain) const;
+  Domain& Live(DomainId domain) {
+    return const_cast<Domain&>(std::as_const(*this).Live(domain));
+  }
+
   void WriteLineToDram(PhysAddr pa, uint64_t value);
   uint64_t ReadLineFromDram(PhysAddr pa) const;
 
   MemoryController* mc_;
   FrameAllocator* allocator_;
-  std::map<DomainId, DomainSpec> specs_;
-  std::map<DomainId, AddressSpace> spaces_;
-  std::map<DomainId, VirtAddr> next_va_;
-  std::unordered_map<uint64_t, DomainId> frame_owner_;
+  std::vector<Domain> domains_;
+  // Mapped frame -> (owner, VA page): the reverse page table.
   std::unordered_map<uint64_t, std::pair<DomainId, VirtAddr>> frame_va_;
   std::vector<Region> filled_regions_;
-  DomainId next_domain_ = 1;
   uint64_t page_moves_ = 0;
   StatSet stats_;
   TraceBuffer* trace_ = nullptr;

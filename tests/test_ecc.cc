@@ -9,7 +9,7 @@ namespace ht {
 namespace {
 
 TEST(EccDataStore, MaskTracksFlipsAndClearsOnWrite) {
-  RowDataStore store(8, 1);
+  RowDataStore store(/*rows=*/16, 8, 1);
   store.WriteLine(1, 0, 0xAA);
   EXPECT_EQ(store.CorruptionMask(1, 0), 0u);
   store.FlipRandomBits(1, 1);
@@ -26,7 +26,7 @@ TEST(EccDataStore, MaskTracksFlipsAndClearsOnWrite) {
 }
 
 TEST(EccDataStore, MaskMatchesStoredCorruption) {
-  RowDataStore store(8, 7);
+  RowDataStore store(/*rows=*/16, 8, 7);
   for (uint32_t c = 0; c < 8; ++c) {
     store.WriteLine(2, c, 0x1234);
   }
