@@ -142,6 +142,7 @@ struct ThroughputSample {
   double seconds = 0.0;
   double cycles_per_sec = 0.0;
   uint64_t scans = 0;  // mc.wake_batches: channel scheduling scans.
+  uint64_t ticks = 0;  // System::component_ticks: component Tick calls.
 };
 
 ThroughputSample MeasureIdleHeavy(bool skip_idle, Cycle cycles) {
@@ -344,6 +345,7 @@ ThroughputSample MeasureHammerHeavy(bool event_driven, Cycle cycles) {
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   ThroughputSample sample;
   sample.scans = system.mc().stats().Get("mc.wake_batches");
+  sample.ticks = system.component_ticks();
   sample.seconds = elapsed.count();
   sample.cycles_per_sec =
       sample.seconds > 0.0 ? static_cast<double>(cycles) / sample.seconds : 0.0;
@@ -410,6 +412,7 @@ void WriteBusyReport(int repeats) {
                "  \"system_hammer\": {\n"
                "    \"simulated_cycles\": %llu,\n"
                "    \"scans\": %llu,\n"
+               "    \"ticks\": %llu,\n"
                "    \"event_driven_off\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
                "    \"event_driven_on\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
                "    \"speedup\": %.2f\n"
@@ -423,7 +426,8 @@ void WriteBusyReport(int repeats) {
                static_cast<unsigned long long>(dma.on.scans), dma.off.seconds,
                dma.off.cycles_per_sec, dma.on.seconds, dma.on.cycles_per_sec, dma.speedup(),
                static_cast<unsigned long long>(sys.cycles),
-               static_cast<unsigned long long>(sys.on.scans), sys.off.seconds,
+               static_cast<unsigned long long>(sys.on.scans),
+               static_cast<unsigned long long>(sys.on.ticks), sys.off.seconds,
                sys.off.cycles_per_sec, sys.on.seconds, sys.on.cycles_per_sec, sys.speedup(),
                std::thread::hardware_concurrency(), repeats);
   std::fclose(out);

@@ -158,6 +158,9 @@ void Core::Execute(const CoreOp& op, Cycle now) {
       const bool accepted = mc_->RefreshRow(*pa, op.auto_precharge, now,
                                             [this](const RefreshDone&) {
                                               refresh_pending_ = false;
+                                              if (wake_hook_) {
+                                                wake_hook_();
+                                              }
                                             });
       if (!accepted) {
         stats_.Add("core.refresh_retries");

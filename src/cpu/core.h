@@ -65,6 +65,9 @@ class Core {
   void set_translate(TranslateFn translate) { translate_ = std::move(translate); }
   void set_miss_observer(MissObserver observer) { miss_observer_ = std::move(observer); }
   void set_domain_resolver(DomainResolver resolver) { domain_resolver_ = std::move(resolver); }
+  // Called when a refresh instruction completes, which (like OnResponse)
+  // can move NextWake earlier from outside Tick.
+  void set_wake_hook(std::function<void()> hook) { wake_hook_ = std::move(hook); }
 
   // Advances the core one cycle: retries stalled writebacks, then issues
   // at most one new operation.
@@ -112,6 +115,7 @@ class Core {
   TranslateFn translate_;
   MissObserver miss_observer_;
   DomainResolver domain_resolver_;
+  std::function<void()> wake_hook_;
 
   bool halted_ = false;
   bool fence_pending_ = false;

@@ -643,8 +643,18 @@ void MemoryController::IssueRequestAccess(uint32_t channel_index, uint32_t index
   BankQueue& bank = channel.banks[slot];
   (entry.prev == kNil ? bank.head : channel.slab[entry.prev].next) = entry.next;
   (entry.next == kNil ? bank.tail : channel.slab[entry.next].prev) = entry.prev;
-  if (bank.hits[pending.request.op == MemOp::kRead ? 0 : 1] == index) {
-    bank.hit_row = kNil;  // The memo's hit left; recompute on the next scan.
+  uint32_t& hit = bank.hits[pending.request.op == MemOp::kRead ? 0 : 1];
+  if (hit == index) {
+    // The memo's hit left. No older entry of its kind hits `hit_row`, so
+    // the next oldest one, if any, is younger than the departed entry.
+    hit = kNil;
+    for (uint32_t i = pending.next; i != kNil; i = channel.slab[i].next) {
+      const PendingRequest& younger = channel.slab[i];
+      if (younger.coord.row == bank.hit_row && younger.request.op == pending.request.op) {
+        hit = i;
+        break;
+      }
+    }
   }
   if (bank.head == kNil) {
     channel.occupied &= ~(1ull << slot);

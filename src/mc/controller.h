@@ -205,7 +205,8 @@ class MemoryController {
   // A (rank, bank) slot's requests, oldest at `head`, plus the pass-1
   // memo: for row `hit_row` (kNil = not computed), hits[0] / hits[1] are
   // the oldest read / write to that row (kNil = none). Enqueue and unlink
-  // keep it exact; a different open row recomputes it.
+  // keep it exact (an issued hit resumes the walk of its kind from its
+  // successor); a different open row recomputes it.
   struct BankQueue {
     uint32_t head = kNil;
     uint32_t tail = kNil;

@@ -26,6 +26,7 @@ System::System(const SystemConfig& config) : config_(config) {
   kernel_ = std::make_unique<HostKernel>(mc_.get(), allocator_.get());
   llc_ = std::make_unique<Cache>(config_.cache);
   cores_.reserve(config_.cores);
+  core_wake_.assign(config_.cores, 0);
   for (uint32_t i = 0; i < config_.cores; ++i) {
     cores_.push_back(std::make_unique<Core>(i, kInvalidDomain, config_.core, llc_.get(),
                                             mc_.get()));
@@ -36,6 +37,7 @@ System::System(const SystemConfig& config) : config_(config) {
   mc_->set_response_handler([this](const MemResponse& response) {
     if (response.requestor < cores_.size()) {
       cores_[response.requestor]->OnResponse(response, now_);
+      PokeCore(response.requestor);
     }
   });
 
@@ -85,7 +87,9 @@ void System::AssignCore(uint32_t index, DomainId domain, std::unique_ptr<Instruc
       defense_->OnMiss(event, now_);
     }
   });
+  cores_[index]->set_wake_hook([this, index] { PokeCore(index); });
   cores_[index]->set_stream(std::move(stream));
+  core_wake_[index] = 0;
 }
 
 void System::AssignMuxCore(uint32_t index, DomainId carrier_domain,
@@ -99,6 +103,7 @@ void System::AssignMuxCore(uint32_t index, DomainId carrier_domain,
 DmaEngine& System::AddDma(DomainId domain, const DmaConfig& dma_config) {
   const RequestorId id = 1000 + static_cast<RequestorId>(dmas_.size());
   dmas_.push_back(std::make_unique<DmaEngine>(id, domain, dma_config, mc_.get()));
+  dma_wake_.push_back(0);
   return *dmas_.back();
 }
 
@@ -119,27 +124,10 @@ void System::InstallDefense(std::unique_ptr<Defense> defense) {
   }
 }
 
-Cycle System::NextWakeCycle(Cycle now) const {
-  Cycle wake = mc_->NextWake(now);
-  for (const auto& core : cores_) {
-    wake = std::min(wake, core->NextWake(now));
-  }
-  for (const auto& dma : dmas_) {
-    wake = std::min(wake, dma->NextWake(now));
-  }
-  if (defense_ != nullptr) {
-    wake = std::min(wake, defense_->NextWake(now));
-  }
-  // Sample deadlines join the min so idle skipping lands the clock on
-  // exact k*period boundaries — skip and tick runs yield identical series.
-  wake = std::min(wake, sample_next_);
-  return wake;
-}
-
 void System::Step(Cycle end) {
   if (now_ >= sample_next_) [[unlikely]] {
     // Stamped at the boundary cycle even if ticking overshot it (cannot
-    // happen while NextWakeCycle includes sample_next_, but stay exact).
+    // happen while the step's wake includes sample_next_, but stay exact).
     // The sampler reads the MC StatSet directly.
     mc_->SyncTelemetry();
     mc_->SyncThrottleStalls(now_);
@@ -148,30 +136,84 @@ void System::Step(Cycle end) {
       sample_next_ += sampler_.period();
     }
   }
-  mc_->Tick(now_);
-  for (auto& core : cores_) {
-    core->Tick(now_);
-  }
-  for (auto& dma : dmas_) {
-    dma->Tick(now_);
-  }
-  if (defense_ != nullptr) {
-    defense_->Tick(now_);
-  }
-  ++now_;
-  if (!config_.skip_idle || now_ >= end) {
+  if (!config_.skip_idle) {
+    // The reference loop: every component, every cycle.
+    mc_->Tick(now_);
+    for (auto& core : cores_) {
+      core->Tick(now_);
+    }
+    for (auto& dma : dmas_) {
+      dma->Tick(now_);
+    }
+    if (defense_ != nullptr) {
+      defense_->Tick(now_);
+    }
+    component_ticks_ += 1 + cores_.size() + dmas_.size() + (defense_ != nullptr ? 1 : 0);
+    ++now_;
     return;
   }
-  // Every component's Tick is provably a no-op strictly before its
-  // NextWake cycle, so jumping the clock there changes nothing — same
-  // stats, same flips, fewer loop iterations.
-  const Cycle wake = NextWakeCycle(now_);
+
+  // The wake calendar. Every component's Tick is provably a no-op strictly
+  // before its NextWake cycle, so ticking only the due ones and jumping the
+  // clock to the earliest wake changes nothing: same stats, same flips,
+  // fewer calls. With tracing on the MC ticks every step: without a
+  // mitigation its epoch-rollover records are not part of NextWake, yet
+  // must land at the first step past each boundary, in order with the
+  // other components' records.
+  if (mc_wake_ <= now_ || config_.telemetry.trace != nullptr) {
+    mc_->Tick(now_);  // Responses and refresh completions poke cores.
+    ++component_ticks_;
+  }
+  for (size_t i = 0; i < cores_.size(); ++i) {
+    if (core_wake_[i] <= now_) {
+      cores_[i]->Tick(now_);
+      ++component_ticks_;
+    }
+  }
+  for (size_t i = 0; i < dmas_.size(); ++i) {
+    if (dma_wake_[i] <= now_) {
+      dmas_[i]->Tick(now_);
+      ++component_ticks_;
+    }
+  }
+  // The defense is ticked and polled every step: CacheLockDefense prunes
+  // its quarantine on ticks its NextWake does not advertise.
+  if (defense_ != nullptr) {
+    defense_->Tick(now_);
+    ++component_ticks_;
+  }
+  ++now_;
+  // Any tick may enqueue, so the MC's wake is re-read every step. A core
+  // or DMA engine can only change its wake by ticking or being poked, and
+  // either leaves its entry at or before the step's cycle: those entries,
+  // and only those, are re-read. Entries past it are still exact.
+  mc_wake_ = mc_->NextWake(now_);
+  // Sample deadlines join the min so idle skipping lands the clock on
+  // exact k*period boundaries — skip and tick runs yield identical series.
+  Cycle wake = std::min(mc_wake_, sample_next_);
+  for (size_t i = 0; i < cores_.size(); ++i) {
+    if (core_wake_[i] < now_) {
+      core_wake_[i] = cores_[i]->NextWake(now_);
+    }
+    wake = std::min(wake, core_wake_[i]);
+  }
+  for (size_t i = 0; i < dmas_.size(); ++i) {
+    if (dma_wake_[i] < now_) {
+      dma_wake_[i] = dmas_[i]->NextWake(now_);
+    }
+    wake = std::min(wake, dma_wake_[i]);
+  }
+  if (defense_ != nullptr) {
+    wake = std::min(wake, defense_->NextWake(now_));
+  }
   if (wake > now_) {
     now_ = std::min(wake, end);
   }
 }
 
 void System::RunFor(Cycle cycles) {
+  // Host code may have enqueued, refreshed or remapped between runs.
+  mc_wake_ = 0;
   const Cycle end = now_ + cycles;
   while (now_ < end) {
     Step(end);
@@ -180,6 +222,7 @@ void System::RunFor(Cycle cycles) {
 }
 
 void System::RunUntilQuiesced(Cycle max_cycles) {
+  mc_wake_ = 0;  // As in RunFor.
   const Cycle end = now_ + max_cycles;
   while (now_ < end) {
     bool all_halted = true;

@@ -56,8 +56,10 @@ struct SystemConfig {
   uint32_t guard_domains = 4;
   uint32_t guard_blast = 2;
   // Fast-forward the clock across provably idle stretches (cycles where
-  // no component's Tick could change state or emit a stat). Produces
-  // bit-identical results to per-cycle ticking; disable to cross-check.
+  // no component's Tick could change state or emit a stat), ticking only
+  // the components that are due (the wake calendar, see System::Step).
+  // Produces bit-identical results to per-cycle ticking; disable to
+  // cross-check.
   bool skip_idle = true;
   TelemetryConfig telemetry;
 };
@@ -70,7 +72,9 @@ class System {
 
   DomainId AddDomain(const DomainSpec& spec) { return kernel_->CreateDomain(spec); }
 
-  // Binds core `index` to a domain and instruction stream.
+  // Binds core `index` to a domain and instruction stream. This is the one
+  // way to give a core new work: the wake calendar (see Step) re-reads a
+  // core only after it ticks, is poked by the MC, or is reassigned here.
   void AssignCore(uint32_t index, DomainId domain, std::unique_ptr<InstructionStream> stream,
                   bool is_host = false);
 
@@ -93,6 +97,10 @@ class System {
   // Runs until every core halted and the MC drained, or `max_cycles`.
   void RunUntilQuiesced(Cycle max_cycles);
   Cycle now() const { return now_; }
+  // Tick calls made so far (MC, cores, DMA engines, defense): an exact work
+  // counter for the step loop, kept out of CollectStats so reports do not
+  // depend on how the loop schedules its components.
+  uint64_t component_ticks() const { return component_ticks_; }
 
   // Writes back all dirty LLC lines to DRAM (end-of-run accounting before
   // golden verification).
@@ -130,12 +138,13 @@ class System {
  private:
   std::unique_ptr<FrameAllocator> MakeAllocator() const;
 
-  // Ticks every component once at now_, advances the clock, and — when
-  // idle skipping is on — jumps straight to the earliest NextWake cycle,
-  // clamped to `end`.
+  // Advances the clock by one step. With idle skipping off it ticks every
+  // component at now_ and moves to now_ + 1. With it on it ticks only the
+  // components due at now_ (the wake calendar) and jumps straight to the
+  // earliest wake, clamped to `end`.
   void Step(Cycle end);
-  // Minimum NextWake over the MC, cores, DMA engines, and defense.
-  Cycle NextWakeCycle(Cycle now) const;
+  // Marks core `index` due: an MC event changed what its NextWake returns.
+  void PokeCore(uint32_t index) { core_wake_[index] = 0; }
 
   SystemConfig config_;
   std::unique_ptr<MemoryController> mc_;
@@ -146,6 +155,12 @@ class System {
   std::vector<std::unique_ptr<DmaEngine>> dmas_;
   std::unique_ptr<Defense> defense_;
   Cycle now_ = 0;
+  // The wake calendar: each component's NextWake as of its last tick or
+  // poke (0 = due). Exact after every step; see Step for the invariant.
+  Cycle mc_wake_ = 0;
+  std::vector<Cycle> core_wake_;
+  std::vector<Cycle> dma_wake_;
+  uint64_t component_ticks_ = 0;
   StatSampler sampler_;
   Cycle sample_next_ = kNeverCycle;
 };

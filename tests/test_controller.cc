@@ -631,6 +631,37 @@ TEST_F(FrFcfsRuleTest, OldestLegalHitWinsWhenReadAndWriteLegalityDiffer) {
   EXPECT_EQ(responses_.size(), 2u);
 }
 
+TEST_F(FrFcfsRuleTest, IssuedHitResumesOnlyItsKindsMemo) {
+  Direct(DdrCommand::Act(0, 0, 5), 0);
+  now_ = 100;
+  // Bank 0, open row 5: reads and writes to row 5 interleaved with
+  // requests to row 9, which must wait for every row-5 hit.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 5, 1)), now_));      // seq 0: read hit.
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 9, 1), 1), now_));  // seq 1: conflict.
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 5, 2), 2), now_));  // seq 2: write hit.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 9, 2)), now_));      // seq 3: conflict.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 5, 3)), now_));      // seq 4: read hit.
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 5, 4), 4), now_));  // seq 5: write hit.
+  ASSERT_TRUE(mc_->Enqueue(Read(At(0, 5, 5)), now_));      // seq 6: read hit.
+  ASSERT_TRUE(mc_->Enqueue(Write(At(0, 5, 6), 6), now_));  // seq 7: write hit.
+  RunFor(600);
+  std::vector<uint64_t> reads;
+  std::vector<uint64_t> writes;
+  for (const ScheduleDecision& decision : checker_->Issued()) {
+    if (decision.command == DdrCommandType::kPrecharge) {
+      break;  // Row 9's turn: every row-5 hit was served before it.
+    }
+    (decision.command == DdrCommandType::kRead ? reads : writes).push_back(decision.seq);
+  }
+  // Each kind's hits issue oldest first, so each issue hands its memo to
+  // the next hit of the same kind and leaves the other kind's alone.
+  EXPECT_EQ(reads, (std::vector<uint64_t>{0, 4, 6}));
+  EXPECT_EQ(writes, (std::vector<uint64_t>{2, 5, 7}));
+  // Six row-5 hits, and seq 3 rides seq 1's ACT of row 9.
+  EXPECT_EQ(mc_->stats().Get("mc.row_hits"), 7u);
+  EXPECT_EQ(responses_.size(), 8u);
+}
+
 TEST_F(FrFcfsRuleTest, LargestOrganizationUsesEveryMaskBit) {
   DramConfig dram = DramConfig::SimDefault();
   dram.org.ranks = 8;  // 8 ranks x 8 banks: slot 63 is the last mask bit.

@@ -2,11 +2,70 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "common/telemetry/trace.h"
+#include "cpu/core_ops.h"
+#include "defense/defense.h"
 #include "sim/scenario.h"
 #include "sim/workloads.h"
 
 namespace ht {
 namespace {
+
+// Fixed scripted stream; ILP hint 1 makes every second load wait for the
+// first one's response.
+class ScriptStream : public InstructionStream {
+ public:
+  explicit ScriptStream(std::vector<CoreOp> ops) : ops_(std::move(ops)) {}
+  CoreOp Next() override { return cursor_ < ops_.size() ? ops_[cursor_++] : CoreOp::Halt(); }
+  uint32_t IlpHint() const override { return 1; }
+
+ private:
+  std::vector<CoreOp> ops_;
+  size_t cursor_ = 0;
+};
+
+// What a run shows: the clock, the ops retired and every stat.
+struct RunOutcome {
+  Cycle now = 0;
+  uint64_t ops = 0;
+  std::string stats;
+  uint64_t ticks = 0;
+};
+
+// Runs `drive` on a fresh one-core, one-tenant system with idle skipping
+// on (the wake calendar) and off (every component every cycle) and
+// returns both outcomes, skipping first.
+std::vector<RunOutcome> RunBothModes(const std::function<void(System&, DomainId)>& drive) {
+  std::vector<RunOutcome> outcomes;
+  for (const bool skip_idle : {true, false}) {
+    SystemConfig config;
+    config.cores = 1;
+    config.skip_idle = skip_idle;
+    System system(config);
+    const std::vector<DomainId> tenants = SetupTenants(system, 1, 16);
+    drive(system, tenants[0]);
+    outcomes.push_back({system.now(), system.TotalOpsCompleted(),
+                        system.CollectStats().ToString(), system.component_ticks()});
+  }
+  return outcomes;
+}
+
+void ExpectSameOutcome(const std::vector<RunOutcome>& outcomes) {
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].now, outcomes[1].now);
+  EXPECT_EQ(outcomes[0].ops, outcomes[1].ops);
+  EXPECT_EQ(outcomes[0].stats, outcomes[1].stats);
+  EXPECT_LT(outcomes[0].ticks, outcomes[1].ticks);  // The calendar skips work.
+}
+
+VirtAddr Line(DomainId tenant, uint64_t line) {
+  return AddressSpace::BaseFor(tenant) + line * kLineBytes;
+}
 
 TEST(System, BenignRunCompletesOps) {
   SystemConfig config;
@@ -114,6 +173,112 @@ TEST(System, SetupTenantsFillsAndAttributesOwnership) {
   const VerifyResult verify = system.kernel().VerifyAll();
   EXPECT_EQ(verify.lines_checked, 3 * 64 * kLinesPerPage);
   EXPECT_EQ(verify.corrupted_lines, 0u);
+}
+
+// The core sleeps while its refresh instruction is in flight and while it
+// waits on a response; only the MC's pokes (RefreshDone, OnResponse) can
+// wake it, so the calendar must re-read it then.
+TEST(System, HostRefreshThenLoadsMatchTickLoop) {
+  const std::vector<RunOutcome> outcomes = RunBothModes([](System& system, DomainId tenant) {
+    system.AssignCore(0, tenant,
+                      std::make_unique<ScriptStream>(std::vector<CoreOp>{
+                          CoreOp::RefreshRow(Line(tenant, 0)), CoreOp::Load(Line(tenant, 200)),
+                          CoreOp::Load(Line(tenant, 400)), CoreOp::Fence(),
+                          CoreOp::Load(Line(tenant, 600))}),
+                      /*is_host=*/true);
+    system.RunFor(20000);
+    EXPECT_TRUE(system.core(0).halted());
+    EXPECT_EQ(system.core(0).stats().Get("core.refresh_instrs"), 1u);
+    EXPECT_EQ(system.mc().stats().Get("mc.refresh_instr_acts"), 1u);
+  });
+  EXPECT_EQ(outcomes[0].ops, 5u);
+  ExpectSameOutcome(outcomes);
+}
+
+// A reassigned core starts its new stream even though the core it
+// replaced had halted and slept.
+TEST(System, ReassignedCoreRunsNewStreamInBothModes) {
+  const std::vector<RunOutcome> outcomes = RunBothModes([](System& system, DomainId tenant) {
+    system.AssignCore(0, tenant,
+                      std::make_unique<ScriptStream>(std::vector<CoreOp>{
+                          CoreOp::Load(Line(tenant, 0)), CoreOp::Load(Line(tenant, 300))}));
+    system.RunFor(5000);
+    EXPECT_TRUE(system.core(0).halted());
+    system.AssignCore(0, tenant,
+                      std::make_unique<ScriptStream>(std::vector<CoreOp>{
+                          CoreOp::Store(Line(tenant, 500), 7), CoreOp::Load(Line(tenant, 700)),
+                          CoreOp::Fence()}));
+    system.RunFor(5000);
+    EXPECT_TRUE(system.core(0).halted());
+  });
+  EXPECT_EQ(outcomes[0].ops, 3u);
+  ExpectSameOutcome(outcomes);
+}
+
+// Host code may enqueue straight into the MC between runs; the next run
+// must serve it at once, not at the MC's wake from before the enqueue.
+TEST(System, HostEnqueueBetweenRunsMatchesTickLoop) {
+  const std::vector<RunOutcome> outcomes = RunBothModes([](System& system, DomainId) {
+    system.RunFor(3000);
+    MemRequest request;
+    request.id = 1;
+    request.op = MemOp::kRead;
+    request.requestor = 500;  // No core: the response goes nowhere.
+    ASSERT_TRUE(system.mc().Enqueue(request, system.now()));
+    system.RunFor(3000);
+    EXPECT_EQ(system.mc().stats().Get("mc.reads_done"), 1u);
+  });
+  ExpectSameOutcome(outcomes);
+}
+
+// Emits one defense trigger record on its first tick at or after `at`.
+class TraceAtDefense : public Defense {
+ public:
+  explicit TraceAtDefense(Cycle at) : at_(at) {}
+  std::string name() const override { return "trace-at"; }
+  void Tick(Cycle now) override {
+    if (!emitted_ && now >= at_) {
+      HT_TRACE(trace_, now, TraceKind::kDefenseTrigger, 0, 0, 0, 0, 0);
+      emitted_ = true;
+    }
+  }
+  Cycle NextWake(Cycle now) const override {
+    return emitted_ ? kNeverCycle : std::max(now, at_);
+  }
+
+ private:
+  Cycle at_;
+  bool emitted_ = false;
+};
+
+// Without a mitigation the MC's epoch-rollover records are not part of its
+// NextWake. A traced run must still emit each one at the first step past
+// its boundary, ahead of the records later cycles emit, even when that
+// step is only the defense's and the MC itself is idle until its next REF.
+TEST(System, TracedEpochRecordKeepsCycleOrder) {
+  SystemConfig config;
+  config.cores = 1;
+  // A window that is no multiple of the REF period: the boundary falls
+  // between two REFs, while the idle MC sleeps.
+  config.dram.retention.refresh_window = (1u << 16) + 60;
+  const Cycle boundary = config.dram.retention.refresh_window;
+  ASSERT_NE(boundary % config.dram.RefPeriod(), 0u);
+  TraceBuffer trace("system", 1024);
+  config.telemetry.trace = &trace;
+  System system(config);
+  system.InstallDefense(std::make_unique<TraceAtDefense>(boundary + 1));
+  system.RunFor(boundary + 2 * config.dram.RefPeriod());
+  const std::vector<TraceEvent> events = trace.Snapshot();
+  ASSERT_TRUE(std::any_of(events.begin(), events.end(), [&](const TraceEvent& event) {
+    return event.kind == TraceKind::kEpochRollover && event.cycle == boundary;
+  }));
+  ASSERT_TRUE(std::any_of(events.begin(), events.end(), [](const TraceEvent& event) {
+    return event.kind == TraceKind::kDefenseTrigger;
+  }));
+  EXPECT_TRUE(std::is_sorted(events.begin(), events.end(),
+                             [](const TraceEvent& a, const TraceEvent& b) {
+                               return a.cycle < b.cycle;
+                             }));
 }
 
 }  // namespace
