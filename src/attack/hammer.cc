@@ -8,25 +8,17 @@ CoreOp HammerStream::Next() {
     return CoreOp::Halt();
   }
   const VirtAddr va = config_.aggressors[cursor_];
-  if (config_.flush && flush_phase_) {
-    flush_phase_ = false;
-    ++cursor_;
-    if (cursor_ >= config_.aggressors.size()) {
-      cursor_ = 0;
-      ++passes_;
-    }
-    return CoreOp::Flush(va);
-  }
-  if (config_.flush) {
+  if (!flush_phase_) {
     flush_phase_ = true;
-  } else {
-    ++cursor_;
-    if (cursor_ >= config_.aggressors.size()) {
-      cursor_ = 0;
-      ++passes_;
-    }
+    return CoreOp::Load(va);
   }
-  return CoreOp::Load(va);
+  // clflush after each load, so the next load of the row misses and ACTs.
+  flush_phase_ = false;
+  if (++cursor_ >= config_.aggressors.size()) {
+    cursor_ = 0;
+    ++passes_;
+  }
+  return CoreOp::Flush(va);
 }
 
 bool AdaptiveHammerStream::PairIsDecoy(uint64_t pair_index) const {

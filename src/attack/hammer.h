@@ -25,7 +25,6 @@ namespace ht {
 struct HammerConfig {
   std::vector<VirtAddr> aggressors;  // Line VAs, one per aggressor row.
   uint64_t iterations = 0;           // Full passes over the set; 0 = endless.
-  bool flush = true;                 // clflush after each load (needed to ACT).
 };
 
 class HammerStream : public InstructionStream {

@@ -75,7 +75,8 @@ class Defense {
   TraceBuffer* trace_ = nullptr;
 };
 
-// Baseline: no software defense installed.
+// A defense that does nothing. MakeDefense(kNone) installs no defense at
+// all (nullptr), which System skips outright.
 class NoDefense : public Defense {
  public:
   std::string name() const override { return "none"; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -403,17 +404,20 @@ void FlushRunnerTelemetry() {
   const RunnerTelemetryOptions& options = RunnerTelemetry();
   RunnerTelemetryState& state = TelemetryState();
   ProfilePhase flush_phase("telemetry.flush");
-  if (!options.trace_out.empty()) {
-    std::string error;
-    WriteTraceOutput(options.trace_out, *state.sink, &error);
-  }
-  if (!options.metrics_out.empty()) {
+  std::string error;
+  bool written = options.trace_out.empty() ||
+                 WriteTraceOutput(options.trace_out, *state.sink, &error);
+  if (written && !options.metrics_out.empty()) {
     // MakeMetricsDocument consumes its input; hand it a copy so later
     // batches can re-flush the full accumulated list.
     JsonValue doc = MakeMetricsDocument(state.reports);
     Profiler::Global().MaybeAttachTo(doc);
-    std::string error;
-    WriteTelemetryDocument(options.metrics_out, doc, &error);
+    written = WriteTelemetryDocument(options.metrics_out, doc, &error);
+  }
+  if (!written) {
+    // An output the user asked for cannot be produced: fail like a bad flag.
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    std::exit(2);
   }
 }
 

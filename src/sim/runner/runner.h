@@ -142,7 +142,9 @@ ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry = nul
                            const ScenarioHooks* hooks = nullptr);
 
 // Rewrites the --trace-out / --metrics-out files from everything
-// accumulated so far. Called after every RunScenarios batch.
+// accumulated so far. Called after every RunScenarios batch. A file that
+// cannot be written ends the process with exit status 2 and an
+// `error: cannot open <path>` line on stderr.
 void FlushRunnerTelemetry();
 
 // Runs every spec on a worker pool and returns the results in spec order.

@@ -128,7 +128,7 @@ void ApplyDefensePreset(SystemConfig& config, DefenseKind kind, uint64_t act_thr
 std::unique_ptr<Defense> MakeDefense(DefenseKind kind, const DramConfig& dram) {
   switch (kind) {
     case DefenseKind::kNone:
-      return std::make_unique<NoDefense>();
+      return nullptr;
     case DefenseKind::kSwRefresh: {
       SoftRefreshConfig config;
       config.method = VictimRefreshMethod::kRefreshInstruction;

@@ -39,7 +39,8 @@ std::string KnownDefenseKinds();
 // (ACT counter, interrupt precision, REF_NEIGHBORS) are enabled.
 void ApplyDefensePreset(SystemConfig& config, DefenseKind kind, uint64_t act_threshold = 512);
 
-// Builds the defense object (installed via System::InstallDefense).
+// Builds the defense object (installed via System::InstallDefense);
+// nullptr for kNone, which installs nothing.
 std::unique_ptr<Defense> MakeDefense(DefenseKind kind, const DramConfig& dram);
 
 // --- Hardware (in-MC) mitigation baselines -----------------------------------

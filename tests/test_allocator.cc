@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace ht {
 namespace {
@@ -181,6 +182,114 @@ TEST(SubarrayAware, FreeAndReallocWithinGroup) {
   auto again = alloc.AllocFrame(1);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(*again, *frame);
+}
+
+
+// --- Exact frame sequences ---------------------------------------------------
+//
+// One Alloc/Free script per policy, pinned frame by frame: which pool a
+// domain gets (round-robin on its first allocation), last-freed-first
+// reuse, ascending hand-out of unused frames, and a pool running dry.
+
+// 32 frames: 2 banks x 16 rows x 64 columns, so under bank-sequential
+// every frame is one row of one bank and under cache-line every row index
+// holds two frames.
+DramOrg SmallOrg() {
+  DramOrg org;
+  org.banks = 2;
+  org.subarrays_per_bank = 4;
+  org.rows_per_subarray = 4;
+  org.columns = 64;
+  return org;
+}
+
+// A step allocates for `domain`, or, with `free_of` set, frees back to
+// `domain` the frame that step `free_of` returned.
+struct Step {
+  DomainId domain;
+  int free_of = -1;
+};
+
+// Domains 1-3 allocate twice each, domains 1 and 2 free one frame each and
+// domains 3, 1 and 2 allocate again, domains 4 and 5 arrive, domain 1
+// allocates 14 more times (its pool runs dry), then frees two frames and
+// allocates three times.
+std::vector<Step> Script() {
+  std::vector<Step> script = {{1}, {2}, {3}, {1}, {2}, {3}, {1, 0}, {2, 4},
+                              {3}, {1}, {2}, {4}, {5}};
+  script.insert(script.end(), 14, Step{1});
+  script.insert(script.end(), {{1, 3}, {1, 9}, {1}, {1}, {1}});
+  return script;
+}
+
+// Replays `script`: each step's frame (-1 when the allocation is refused;
+// a free step records the frame it returned).
+std::vector<int64_t> Replay(FrameAllocator& alloc, const std::vector<Step>& script) {
+  std::vector<int64_t> out;
+  for (const Step& step : script) {
+    if (step.free_of >= 0) {
+      const int64_t frame = out[static_cast<size_t>(step.free_of)];
+      alloc.FreeFrame(step.domain, static_cast<uint64_t>(frame));
+      out.push_back(frame);
+    } else {
+      const std::optional<uint64_t> frame = alloc.AllocFrame(step.domain);
+      out.push_back(frame.has_value() ? static_cast<int64_t>(*frame) : -1);
+    }
+  }
+  return out;
+}
+
+TEST(FrameSequence, Linear) {
+  LinearAllocator alloc(12);
+  EXPECT_EQ(Replay(alloc, Script()),
+            (std::vector<int64_t>{0,  1,  2,  3,  4,  5,  0,  4,  4,  0,  6,  7,  8,  9,  10, 11,
+                                  -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 3,  0,  0,  3,  -1}));
+}
+
+TEST(FrameSequence, BankAwareUnderBankSequential) {
+  AddressMapper mapper(SmallOrg(), InterleaveScheme::kBankSequential);
+  BankAwareAllocator alloc(mapper);
+  EXPECT_EQ(Replay(alloc, Script()),
+            (std::vector<int64_t>{0,  16, 1,  2,  17, 3,  0,  17, 0,  4,  17, 18, 5,  6,  7,  8,
+                                  9,  10, 11, 12, 13, 14, 15, -1, -1, -1, -1, 2,  4,  4,  2,  -1}));
+  EXPECT_EQ(alloc.BankOf(1), 0u);
+  EXPECT_EQ(alloc.BankOf(2), 1u);
+  EXPECT_EQ(alloc.BankOf(5), 0u);
+}
+
+TEST(FrameSequence, GuardRowsUnderCacheLine) {
+  // Slots own rows {0,1}, {4,5}, {8,9} and {12,13}: frames 0-3, 8-11,
+  // 16-19 and 24-27.
+  AddressMapper mapper(SmallOrg(), InterleaveScheme::kCacheLine);
+  GuardRowAllocator alloc(mapper, 4, 2);
+  EXPECT_EQ(Replay(alloc, Script()),
+            (std::vector<int64_t>{0,  8,  16, 1,  9,  17, 0,  9,  18, 0,  9,  24, 2,  3,  -1, -1,
+                                  -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1,  0,  0,  1,  -1}));
+  EXPECT_EQ(alloc.wasted_frames(), 16u);
+  EXPECT_EQ(alloc.total_frames(), 32u);
+}
+
+TEST(FrameSequence, GuardRowsUnderBankSequential) {
+  // Each slot's rows lie in both banks, so its frames form two runs: slot 0
+  // owns frames 0, 1 (bank 0) and 16, 17 (bank 1).
+  AddressMapper mapper(SmallOrg(), InterleaveScheme::kBankSequential);
+  GuardRowAllocator alloc(mapper, 4, 2);
+  EXPECT_EQ(Replay(alloc, Script()),
+            (std::vector<int64_t>{0,  4,  8,  1,  5,  9,  0,  5,  24, 0,  5,  12, 16, 17, -1, -1,
+                                  -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1,  0,  0,  1,  -1}));
+  EXPECT_EQ(alloc.wasted_frames(), 16u);
+}
+
+TEST(FrameSequence, SubarrayAwareUnderSubarrayIsolated) {
+  // Four groups of eight frames; domain 5 shares domain 1's group.
+  AddressMapper mapper(SmallOrg(), InterleaveScheme::kSubarrayIsolated);
+  SubarrayAwareAllocator alloc(mapper);
+  EXPECT_EQ(Replay(alloc, Script()),
+            (std::vector<int64_t>{0,  8,  16, 1,  9,  17, 0,  9,  18, 0,  9,  24, 2,  3,  4,  5,
+                                  6,  7,  -1, -1, -1, -1, -1, -1, -1, -1, -1, 1,  0,  0,  1,  -1}));
+  EXPECT_EQ(alloc.DomainGroup(4), 3u);
+  EXPECT_EQ(alloc.DomainGroup(5), 0u);
+  EXPECT_EQ(alloc.domains_sharing_groups(), 1u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "defense/anvil_defense.h"
 #include "defense/frequency_defense.h"
 #include "defense/refresh_defense.h"
+#include "sim/runner/runner.h"
 #include "sim/scenario.h"
 #include "sim/system.h"
 
@@ -173,9 +174,23 @@ TEST(AnvilDefense, BlindToDmaHammering) {
   EXPECT_GT(Assess(system).cross_domain_flips, 0u);
 }
 
+TEST(Defenses, NoneScenarioInstallsNoDefense) {
+  ScenarioSpec spec;
+  spec.defense = DefenseKind::kNone;
+  spec.run_cycles = 20000;
+  bool finished = false;
+  ScenarioHooks hooks;
+  hooks.on_finish = [&finished](System& system) {
+    finished = true;
+    EXPECT_EQ(system.defense(), nullptr);
+  };
+  RunScenario(spec, nullptr, &hooks);
+  EXPECT_TRUE(finished);
+}
+
 TEST(Defenses, FactoryNamesMatchKinds) {
   const DramConfig dram = DramConfig::SimDefault();
-  EXPECT_EQ(MakeDefense(DefenseKind::kNone, dram)->name(), "none");
+  EXPECT_EQ(MakeDefense(DefenseKind::kNone, dram), nullptr);
   EXPECT_EQ(MakeDefense(DefenseKind::kSwRefresh, dram)->name(), "sw-refresh");
   EXPECT_EQ(MakeDefense(DefenseKind::kSwRefreshRefn, dram)->name(), "sw-refresh+refn");
   EXPECT_EQ(MakeDefense(DefenseKind::kActRemap, dram)->name(), "act-remap");

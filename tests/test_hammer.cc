@@ -24,16 +24,6 @@ TEST(HammerStream, AlternatesLoadAndFlushPerAggressor) {
   EXPECT_EQ(op4.va, 0x2000u);
 }
 
-TEST(HammerStream, NoFlushModeOnlyLoads) {
-  HammerConfig config;
-  config.aggressors = {0x1000, 0x2000};
-  config.flush = false;
-  HammerStream stream(config);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(stream.Next().kind, CoreOpKind::kLoad);
-  }
-}
-
 TEST(HammerStream, IterationsBoundHalts) {
   HammerConfig config;
   config.aggressors = {0x1000};
