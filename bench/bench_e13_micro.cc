@@ -143,6 +143,7 @@ struct ThroughputSample {
   double cycles_per_sec = 0.0;
   uint64_t scans = 0;  // mc.wake_batches: channel scheduling scans.
   uint64_t ticks = 0;  // System::component_ticks: component Tick calls.
+  uint64_t page_lookups = 0;  // HostKernel::page_table_lookups: translator memo misses.
 };
 
 ThroughputSample MeasureIdleHeavy(bool skip_idle, Cycle cycles) {
@@ -346,6 +347,7 @@ ThroughputSample MeasureHammerHeavy(bool event_driven, Cycle cycles) {
   ThroughputSample sample;
   sample.scans = system.mc().stats().Get("mc.wake_batches");
   sample.ticks = system.component_ticks();
+  sample.page_lookups = system.kernel().page_table_lookups();
   sample.seconds = elapsed.count();
   sample.cycles_per_sec =
       sample.seconds > 0.0 ? static_cast<double>(cycles) / sample.seconds : 0.0;
@@ -413,6 +415,7 @@ void WriteBusyReport(int repeats) {
                "    \"simulated_cycles\": %llu,\n"
                "    \"scans\": %llu,\n"
                "    \"ticks\": %llu,\n"
+               "    \"page_lookups\": %llu,\n"
                "    \"event_driven_off\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
                "    \"event_driven_on\": {\"wall_seconds\": %.6f, \"cycles_per_sec\": %.0f},\n"
                "    \"speedup\": %.2f\n"
@@ -427,7 +430,8 @@ void WriteBusyReport(int repeats) {
                dma.off.cycles_per_sec, dma.on.seconds, dma.on.cycles_per_sec, dma.speedup(),
                static_cast<unsigned long long>(sys.cycles),
                static_cast<unsigned long long>(sys.on.scans),
-               static_cast<unsigned long long>(sys.on.ticks), sys.off.seconds,
+               static_cast<unsigned long long>(sys.on.ticks),
+               static_cast<unsigned long long>(sys.on.page_lookups), sys.off.seconds,
                sys.off.cycles_per_sec, sys.on.seconds, sys.on.cycles_per_sec, sys.speedup(),
                std::thread::hardware_concurrency(), repeats);
   std::fclose(out);

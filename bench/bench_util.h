@@ -18,15 +18,17 @@
 
 namespace ht {
 
-// Parses the shared runner flags (--threads, --trace-out, --metrics-out,
-// --sample-every) for a bench main, installs the process-wide telemetry
-// options, and returns the requested worker count (0 = auto). Unknown
-// flags and positional arguments are tolerated so harness wrappers can
-// pass extra arguments through.
+// Parses the shared runner flags (--threads, --profile) and the telemetry
+// flags (--trace-out, --metrics-out, --sample-every) for a bench main,
+// installs the process-wide telemetry options (exiting 2 at once when an
+// output path cannot be opened), and returns the requested worker count
+// (0 = auto). Unknown flags and positional arguments are tolerated so
+// harness wrappers can pass extra arguments through.
 inline unsigned BenchMain(int argc, char** argv) {
   ArgParser parser(argv != nullptr && argc > 0 ? argv[0] : "bench",
                    "hammertime experiment bench");
   AddRunnerFlags(parser);
+  AddTelemetryFlags(parser);
   parser.AllowUnknown().AllowPositionals("");
   parser.Parse(argc, argv);
   return ApplyRunnerFlags(parser);

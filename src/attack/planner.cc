@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 namespace ht {
 namespace {
@@ -13,16 +14,25 @@ struct BankKey {
   auto operator<=>(const BankKey&) const = default;
 };
 
-// One representative line VA per (bank, row) owned by the domain.
+// One representative line VA per (bank, row) owned by the domain: the
+// first line met, in page-table order. A page's lines repeat a few
+// (bank, row) pairs, so each pair is inserted once per page.
 std::map<BankKey, std::map<uint32_t, VirtAddr>> GroupRows(HostKernel& kernel, DomainId domain) {
   std::map<BankKey, std::map<uint32_t, VirtAddr>> groups;
   const AddressMapper& mapper = kernel.mc().mapper();
+  std::vector<DdrCoord> page_rows;  // The page's (bank, row) pairs, column 0.
+  page_rows.reserve(kLinesPerPage);
   for (const auto& [va_page, frame] : kernel.space(domain).pages()) {
+    page_rows.clear();
     for (uint64_t l = 0; l < kLinesPerPage; ++l) {
-      const PhysAddr pa = frame * kPageBytes + l * kLineBytes;
-      const DdrCoord coord = mapper.Map(pa);
-      const BankKey key{coord.channel, coord.rank, coord.bank};
-      groups[key].try_emplace(coord.row, va_page * kPageBytes + l * kLineBytes);
+      DdrCoord coord = mapper.MapLine(frame * kLinesPerPage + l);
+      coord.column = 0;
+      if (std::find(page_rows.begin(), page_rows.end(), coord) != page_rows.end()) {
+        continue;
+      }
+      page_rows.push_back(coord);
+      groups[{coord.channel, coord.rank, coord.bank}].try_emplace(
+          coord.row, va_page * kPageBytes + l * kLineBytes);
     }
   }
   return groups;

@@ -19,9 +19,15 @@
 //                       subarray index is taken from the top physical
 //                       bits, so the OS can pin each trust domain to its
 //                       own subarray group while keeping interleaving.
+//
+// Every geometry field (channels, ranks, banks, columns, subarrays per
+// bank, rows per subarray) must be a power of two, as on real DDR parts,
+// so each scheme is a split of the line index into bit fields: mapping
+// is shift-and-mask, with no division.
 #ifndef HAMMERTIME_SRC_MC_ADDRMAP_H_
 #define HAMMERTIME_SRC_MC_ADDRMAP_H_
 
+#include <bit>
 #include <cstdint>
 
 #include "common/types.h"
@@ -40,6 +46,7 @@ const char* ToString(InterleaveScheme scheme);
 
 class AddressMapper {
  public:
+  // Aborts, naming the field, when a geometry field is not a power of two.
   AddressMapper(const DramOrg& org, InterleaveScheme scheme);
 
   // Total mappable lines / bytes.
@@ -61,14 +68,21 @@ class AddressMapper {
   // `subarrays_per_bank` equal contiguous bands; band i maps onto
   // subarray i of every bank. These helpers let the OS allocator find a
   // band's frame range.
-  uint64_t LinesPerSubarrayBand() const { return total_lines_ / org_.subarrays_per_bank; }
+  uint64_t LinesPerSubarrayBand() const { return total_lines_ >> subarray_bits_; }
   uint32_t SubarrayBandOfLine(uint64_t line) const {
-    return static_cast<uint32_t>(line / LinesPerSubarrayBand());
+    return static_cast<uint32_t>(line >> std::countr_zero(LinesPerSubarrayBand()));
   }
 
  private:
   DramOrg org_;
   InterleaveScheme scheme_;
+  // log2 of each geometry field; row_bits_ covers a whole bank's rows.
+  uint32_t channel_bits_;
+  uint32_t rank_bits_;
+  uint32_t bank_bits_;
+  uint32_t column_bits_;
+  uint32_t subarray_bits_;
+  uint32_t row_bits_;
   uint64_t total_lines_;
 };
 

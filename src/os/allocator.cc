@@ -93,21 +93,19 @@ GuardRowAllocator::GuardRowAllocator(const AddressMapper& mapper, uint32_t expec
     return;
   }
   const uint32_t rows_per_slot = (rows - guards) / slots;
-  auto slot_of_row = [&](uint32_t row) -> int {
-    const uint32_t stride = rows_per_slot + blast_radius;
-    const uint32_t slot = row / stride;
-    if (slot >= slots || row % stride >= rows_per_slot) {
-      return -1;  // Guard row or trailing remainder.
-    }
-    return static_cast<int>(slot);
-  };
+  // Slot of each row; -1 marks a guard row or the trailing remainder.
+  std::vector<int> row_slot(rows, -1);
+  const uint32_t stride = rows_per_slot + blast_radius;
+  for (uint32_t slot = 0; slot < slots; ++slot) {
+    std::fill_n(row_slot.begin() + slot * stride, rows_per_slot, static_cast<int>(slot));
+  }
 
   pools_.resize(slots);
   for (uint64_t frame = 0; frame < total_frames(); ++frame) {
     int frame_slot = -2;  // -2 = unset, -1 = wasted.
     for (uint64_t line = frame * kLinesPerPage;
          line < (frame + 1) * kLinesPerPage && frame_slot != -1; ++line) {
-      const int slot = slot_of_row(mapper.MapLine(line).row);
+      const int slot = row_slot[mapper.MapLine(line).row];
       if (frame_slot == -2) {
         frame_slot = slot;
       } else if (slot != frame_slot) {

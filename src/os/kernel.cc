@@ -50,6 +50,7 @@ void HostKernel::DestroyDomain(DomainId domain) {
   entry.spec = {};
   entry.space = AddressSpace(domain);  // Releases the page table.
   entry.live = false;
+  ++map_generation_;
 }
 
 std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages) {
@@ -85,11 +86,16 @@ std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages)
 }
 
 std::function<std::optional<PhysAddr>(VirtAddr)> HostKernel::TranslatorFor(DomainId domain) {
-  return [this, domain](VirtAddr va) { return Translate(domain, va); };
+  return [this, domain, memo = PageMemo{}](VirtAddr va) mutable {
+    return MemoTranslate(memo, domain, va);
+  };
 }
 
 std::function<std::optional<PhysAddr>(VirtAddr)> HostKernel::MuxTranslator() {
-  return [this](VirtAddr va) { return Translate(DomainOfVa(va), va); };
+  // A VA names its domain, so a page remembered by VA alone stays exact.
+  return [this, memo = PageMemo{}](VirtAddr va) mutable {
+    return MemoTranslate(memo, DomainOfVa(va), va);
+  };
 }
 
 DomainId HostKernel::OwnerOfFrame(uint64_t frame) const {
@@ -211,7 +217,7 @@ bool HostKernel::MovePage(DomainId domain, VirtAddr va_page) {
 }
 
 bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new_frame_value) {
-  AddressSpace& domain_space = space(domain);
+  AddressSpace& domain_space = Live(domain).space;
   const VirtAddr base = va_page / kPageBytes * kPageBytes;
   const auto old_frame = domain_space.FrameOf(base);
   if (!old_frame.has_value()) {
@@ -226,6 +232,7 @@ bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new
     WriteLineToDram(dst, ReadLineFromDram(src));
   }
   domain_space.MapPage(base, *new_frame);
+  ++map_generation_;
   frame_va_[*new_frame] = {domain, base};
   frame_va_.erase(*old_frame);
   allocator_->FreeFrame(domain, *old_frame);

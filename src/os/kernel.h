@@ -52,8 +52,10 @@ class HostKernel {
   DomainId CreateDomain(const DomainSpec& spec);
   // spec() and space() throw std::out_of_range for a domain that is not
   // live (never created, or destroyed).
+  // The page table is read-only outside the kernel: every remap goes
+  // through a kernel call that keeps the translator memos valid.
   const DomainSpec& spec(DomainId domain) const { return Live(domain).spec; }
-  AddressSpace& space(DomainId domain) { return Live(domain).space; }
+  const AddressSpace& space(DomainId domain) const { return Live(domain).space; }
   bool HasDomain(DomainId domain) const {
     return domain < domains_.size() && domains_[domain].live;
   }
@@ -77,7 +79,10 @@ class HostKernel {
     return domains_[domain].space.Translate(va);
   }
 
-  // A translation closure suitable for Core::set_translate.
+  // A translation closure suitable for Core::set_translate. Like
+  // MuxTranslator, it remembers the last two pages it resolved (a hammer
+  // stream alternates two aggressor pages), so most calls skip the page
+  // table; the memo is dropped whenever a page is remapped or unmapped.
   std::function<std::optional<PhysAddr>(VirtAddr)> TranslatorFor(DomainId domain);
 
   // Domain encoded in a namespaced VA ((domain+1) << 36 | offset) — the
@@ -89,6 +94,11 @@ class HostKernel {
   // thousands of domains on a handful of cores). Translations against
   // destroyed domains miss, like a real stale mapping.
   std::function<std::optional<PhysAddr>(VirtAddr)> MuxTranslator();
+
+  // Page-table lookups the translator closures made: the translations
+  // their memos could not answer. An exact work counter, kept out of
+  // stats() so reports do not change.
+  uint64_t page_table_lookups() const { return page_table_lookups_; }
 
   DomainId OwnerOfFrame(uint64_t frame) const;
   DomainId OwnerOfPhys(PhysAddr addr) const { return OwnerOfFrame(addr / kPageBytes); }
@@ -181,6 +191,40 @@ class HostKernel {
     bool live = false;
   };
 
+  // A translator closure's memo: the last two pages it resolved, most
+  // recent first. Entries are valid while map_generation_ is unchanged.
+  // Only MovePageToFrame and DestroyDomain change or drop an existing
+  // mapping, and both bump it; AllocRegion maps fresh VAs, which no
+  // entry can hold, and misses are never remembered.
+  struct PageMemo {
+    static constexpr VirtAddr kNoPage = ~VirtAddr{0};  // Never page-aligned.
+    uint64_t generation = 0;
+    VirtAddr va_page[2] = {kNoPage, kNoPage};
+    PhysAddr pa_page[2] = {0, 0};
+  };
+
+  std::optional<PhysAddr> MemoTranslate(PageMemo& memo, DomainId domain, VirtAddr va) {
+    const VirtAddr va_page = va & ~(kPageBytes - 1);
+    if (memo.generation != map_generation_) {
+      memo = PageMemo{.generation = map_generation_};
+    } else if (va_page == memo.va_page[0]) {
+      return memo.pa_page[0] + (va - va_page);
+    } else if (va_page == memo.va_page[1]) {
+      std::swap(memo.va_page[0], memo.va_page[1]);
+      std::swap(memo.pa_page[0], memo.pa_page[1]);
+      return memo.pa_page[0] + (va - va_page);
+    }
+    ++page_table_lookups_;
+    const std::optional<PhysAddr> pa = Translate(domain, va);
+    if (pa.has_value()) {
+      memo.va_page[1] = memo.va_page[0];
+      memo.pa_page[1] = memo.pa_page[0];
+      memo.va_page[0] = va_page;
+      memo.pa_page[0] = *pa - (va - va_page);
+    }
+    return pa;
+  }
+
   const Domain& Live(DomainId domain) const;
   Domain& Live(DomainId domain) {
     return const_cast<Domain&>(std::as_const(*this).Live(domain));
@@ -196,6 +240,8 @@ class HostKernel {
   std::unordered_map<uint64_t, std::pair<DomainId, VirtAddr>> frame_va_;
   std::vector<Region> filled_regions_;
   uint64_t page_moves_ = 0;
+  uint64_t map_generation_ = 0;  // Bumped when a mapping changes or goes.
+  uint64_t page_table_lookups_ = 0;
   StatSet stats_;
   TraceBuffer* trace_ = nullptr;
   const Cycle* trace_clock_ = nullptr;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -461,6 +462,12 @@ void AddRunnerFlags(ArgParser& parser) {
                 "worker threads for scenario fan-out (0 = auto: HT_THREADS, else the "
                 "hardware concurrency); each scenario runs on one thread",
                 "0");
+  parser.Flag("profile",
+              "self-profile the harness (phase timers, pool gauges) into the metrics "
+              "report's profile section; also honored via HT_PROFILE=1");
+}
+
+void AddTelemetryFlags(ArgParser& parser) {
   parser.Option("trace-out", "PATH",
                 "write an event trace: Chrome trace_event JSON, or compact "
                 "hammertime.bin.v1 when PATH ends in .htb");
@@ -468,9 +475,6 @@ void AddRunnerFlags(ArgParser& parser) {
                 "write a hammertime.metrics.v1 run report (binary when PATH ends in .htb)");
   parser.Option("sample-every", "N",
                 "stat-sampler period in cycles (default 16384 when --metrics-out is set)");
-  parser.Flag("profile",
-              "self-profile the harness (phase timers, pool gauges) into the metrics "
-              "report's profile section; also honored via HT_PROFILE=1");
 }
 
 unsigned ApplyRunnerFlags(const ArgParser& parser) {
@@ -480,6 +484,23 @@ unsigned ApplyRunnerFlags(const ArgParser& parser) {
   options.sample_every = parser.GetUint("sample-every");
   if (!options.metrics_out.empty() && options.sample_every == 0) {
     options.sample_every = kDefaultSampleEvery;
+  }
+  // Fail before any scenario runs, not after the first batch. The probe
+  // leaves no trace: an existing file is opened for appending and keeps
+  // its contents until the flush rewrites it; a new one is removed again.
+  for (const std::string* path : {&options.trace_out, &options.metrics_out}) {
+    if (path->empty()) {
+      continue;
+    }
+    std::error_code ignored;
+    const bool existed = std::filesystem::exists(*path, ignored);
+    if (!std::ofstream(*path, std::ios::app)) {
+      std::fprintf(stderr, "error: cannot open %s\n", path->c_str());
+      std::exit(2);
+    }
+    if (!existed) {
+      std::filesystem::remove(*path, ignored);
+    }
   }
   const char* env_profile = std::getenv("HT_PROFILE");
   if (parser.GetBool("profile") ||

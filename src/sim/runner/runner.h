@@ -160,14 +160,21 @@ std::vector<ScenarioResult> RunScenarios(const std::vector<ScenarioSpec>& specs,
 
 // --- Shared flag plumbing ----------------------------------------------------
 
-// Registers the runner's shared flags (--threads, --trace-out,
-// --metrics-out, --sample-every) on `parser`, so every executable spells
-// them identically.
+// Registers the runner's shared flags (--threads, --profile) on `parser`,
+// so every executable spells them identically.
 void AddRunnerFlags(ArgParser& parser);
 
-// Reads the shared flags back, installs the process-wide telemetry
-// options (defaulting --sample-every when --metrics-out is set), and
-// returns the requested worker count (0 = auto).
+// Registers the telemetry flags (--trace-out, --metrics-out,
+// --sample-every), for the executables that write them: hammertime_cli
+// and the experiment benches. The campaign CLIs do not register them.
+void AddTelemetryFlags(ArgParser& parser);
+
+// Reads the shared flags back (a telemetry flag that was not registered
+// reads as unset), installs the process-wide telemetry options
+// (defaulting --sample-every when --metrics-out is set), and returns the
+// requested worker count (0 = auto). A --trace-out or --metrics-out path
+// that cannot be opened ends the process here, before any scenario runs,
+// with exit status 2 and an `error: cannot open <path>` line on stderr.
 unsigned ApplyRunnerFlags(const ArgParser& parser);
 
 }  // namespace ht

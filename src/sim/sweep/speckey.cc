@@ -1,6 +1,8 @@
 #include "sim/sweep/speckey.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "common/telemetry/report.h"
@@ -307,6 +309,13 @@ std::optional<ScenarioSpec> SpecFromCanonicalJson(const JsonValue& json, std::st
   }
   spec.system.dram.disturbance.mac = static_cast<uint32_t>(value);
   if (!GetUintField(json, "channels", &value, error)) {
+    return std::nullopt;
+  }
+  // The address mapper refuses any other count (it would abort later).
+  if (value > UINT32_MAX || !std::has_single_bit(value)) {
+    if (error != nullptr) {
+      *error = "bad channels " + std::to_string(value) + " (want a power of two)";
+    }
     return std::nullopt;
   }
   spec.system.dram.org.channels = static_cast<uint32_t>(value);

@@ -3,11 +3,170 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace ht {
 namespace {
 
 DramOrg DefaultOrg() { return DramConfig::SimDefault().org; }
+
+// The division formulas the shift-and-mask mapper replaced: the naive
+// reference MapLine and LineOf must match on every line.
+DdrCoord RefMapLine(const DramOrg& org, InterleaveScheme scheme, uint64_t line) {
+  DdrCoord coord;
+  uint64_t l = line;
+  switch (scheme) {
+    case InterleaveScheme::kBankSequential: {
+      coord.column = static_cast<uint32_t>(l % org.columns);
+      l /= org.columns;
+      coord.row = static_cast<uint32_t>(l % org.rows_per_bank());
+      l /= org.rows_per_bank();
+      coord.bank = static_cast<uint32_t>(l % org.banks);
+      l /= org.banks;
+      coord.rank = static_cast<uint32_t>(l % org.ranks);
+      l /= org.ranks;
+      coord.channel = static_cast<uint32_t>(l);
+      break;
+    }
+    case InterleaveScheme::kCacheLine:
+    case InterleaveScheme::kPermutation: {
+      coord.channel = static_cast<uint32_t>(l % org.channels);
+      l /= org.channels;
+      coord.rank = static_cast<uint32_t>(l % org.ranks);
+      l /= org.ranks;
+      coord.bank = static_cast<uint32_t>(l % org.banks);
+      l /= org.banks;
+      coord.column = static_cast<uint32_t>(l % org.columns);
+      l /= org.columns;
+      coord.row = static_cast<uint32_t>(l);
+      if (scheme == InterleaveScheme::kPermutation) {
+        coord.bank = (coord.bank + coord.row) % org.banks;
+      }
+      break;
+    }
+    case InterleaveScheme::kSubarrayIsolated: {
+      coord.channel = static_cast<uint32_t>(l % org.channels);
+      l /= org.channels;
+      coord.rank = static_cast<uint32_t>(l % org.ranks);
+      l /= org.ranks;
+      coord.bank = static_cast<uint32_t>(l % org.banks);
+      l /= org.banks;
+      coord.column = static_cast<uint32_t>(l % org.columns);
+      l /= org.columns;
+      const uint32_t row_within = static_cast<uint32_t>(l % org.rows_per_subarray);
+      l /= org.rows_per_subarray;
+      const uint32_t subarray = static_cast<uint32_t>(l);
+      coord.row = subarray * org.rows_per_subarray + row_within;
+      break;
+    }
+  }
+  return coord;
+}
+
+uint64_t RefLineOf(const DramOrg& org, InterleaveScheme scheme, const DdrCoord& coord) {
+  switch (scheme) {
+    case InterleaveScheme::kBankSequential: {
+      uint64_t l = coord.channel;
+      l = l * org.ranks + coord.rank;
+      l = l * org.banks + coord.bank;
+      l = l * org.rows_per_bank() + coord.row;
+      l = l * org.columns + coord.column;
+      return l;
+    }
+    case InterleaveScheme::kCacheLine:
+    case InterleaveScheme::kPermutation: {
+      uint32_t bank = coord.bank;
+      if (scheme == InterleaveScheme::kPermutation) {
+        bank = (coord.bank + org.banks - coord.row % org.banks) % org.banks;
+      }
+      uint64_t l = coord.row;
+      l = l * org.columns + coord.column;
+      l = l * org.banks + bank;
+      l = l * org.ranks + coord.rank;
+      l = l * org.channels + coord.channel;
+      return l;
+    }
+    case InterleaveScheme::kSubarrayIsolated: {
+      const uint32_t subarray = org.SubarrayOfRow(coord.row);
+      const uint32_t row_within = org.RowWithinSubarray(coord.row);
+      uint64_t l = subarray;
+      l = l * org.rows_per_subarray + row_within;
+      l = l * org.columns + coord.column;
+      l = l * org.banks + coord.bank;
+      l = l * org.ranks + coord.rank;
+      l = l * org.channels + coord.channel;
+      return l;
+    }
+  }
+  return 0;
+}
+
+constexpr InterleaveScheme kAllSchemes[] = {
+    InterleaveScheme::kBankSequential, InterleaveScheme::kCacheLine,
+    InterleaveScheme::kPermutation, InterleaveScheme::kSubarrayIsolated};
+
+// Organizations the reference comparison walks line by line.
+std::vector<std::pair<std::string, DramOrg>> ReferenceOrgs() {
+  std::vector<std::pair<std::string, DramOrg>> orgs;
+  orgs.emplace_back("tiny", DramConfig::Tiny().org);
+  orgs.emplace_back("default", DefaultOrg());
+  DramOrg fuzz = DramConfig::Tiny().org;  // The widest MakeFuzzDramConfig draw.
+  fuzz.banks = 4;
+  fuzz.subarrays_per_bank = 4;
+  fuzz.rows_per_subarray = 32;
+  orgs.emplace_back("fuzz", fuzz);
+  // Multi-channel, multi-rank: the default banks and columns, with short
+  // subarrays to bound the walk.
+  for (uint32_t channels : {2u, 4u, 8u}) {
+    DramOrg multi = DefaultOrg();
+    multi.channels = channels;
+    multi.ranks = 2;
+    multi.rows_per_subarray = 8;
+    orgs.emplace_back(std::to_string(channels) + "ch-2rank", multi);
+  }
+  return orgs;
+}
+
+TEST(AddrMap, MatchesDivisionReferenceOnEveryLine) {
+  for (const auto& [name, org] : ReferenceOrgs()) {
+    for (InterleaveScheme scheme : kAllSchemes) {
+      SCOPED_TRACE(name + " " + ToString(scheme));
+      const AddressMapper mapper(org, scheme);
+      ASSERT_EQ(mapper.total_lines(), org.total_rows() * org.columns);
+      uint64_t mismatches = 0;
+      for (uint64_t line = 0; line < mapper.total_lines(); ++line) {
+        const DdrCoord coord = mapper.MapLine(line);
+        if (coord != RefMapLine(org, scheme, line) || mapper.LineOf(coord) != line ||
+            RefLineOf(org, scheme, coord) != line) {
+          ADD_FAILURE() << "line " << line;
+          if (++mismatches == 10) {
+            break;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AddrMapDeathTest, RefusesNonPowerOfTwoGeometry) {
+  DramOrg org = DefaultOrg();
+  org.channels = 3;
+  EXPECT_DEATH(AddressMapper(org, InterleaveScheme::kCacheLine),
+               "AddressMapper: unsupported organization: channels = 3;");
+  org = DefaultOrg();
+  org.columns = 96;
+  EXPECT_DEATH(AddressMapper(org, InterleaveScheme::kBankSequential), "columns = 96;");
+  org = DefaultOrg();
+  org.rows_per_subarray = 0;
+  EXPECT_DEATH(AddressMapper(org, InterleaveScheme::kSubarrayIsolated), "rows_per_subarray = 0;");
+  for (uint32_t DramOrg::*field : {&DramOrg::ranks, &DramOrg::banks, &DramOrg::subarrays_per_bank}) {
+    org = DefaultOrg();
+    org.*field = 6;
+    EXPECT_DEATH(AddressMapper(org, InterleaveScheme::kPermutation), " = 6; every geometry field");
+  }
+}
 
 class AddrMapBijectionTest : public ::testing::TestWithParam<InterleaveScheme> {};
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 
@@ -193,6 +194,127 @@ TEST_F(KernelTest, TranslatorClosureMatchesTranslate) {
   auto translator = kernel_.TranslatorFor(d);
   EXPECT_EQ(translator(*base), kernel_.Translate(d, *base));
   EXPECT_FALSE(translator(0xDEAD0000).has_value());
+}
+
+TEST_F(KernelTest, TranslatorMemoRemembersTwoPages) {
+  const DomainId d = kernel_.CreateDomain({.name = "a"});
+  const VirtAddr base = *kernel_.AllocRegion(d, 3);
+  auto translator = kernel_.TranslatorFor(d);
+  const uint64_t start = kernel_.page_table_lookups();
+  auto lookups = [&] { return kernel_.page_table_lookups() - start; };
+  // A hammer stream alternates two pages: each is looked up once.
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(translator(base + 8), kernel_.Translate(d, base + 8));
+    EXPECT_EQ(translator(base + kPageBytes + 16), kernel_.Translate(d, base + kPageBytes + 16));
+  }
+  EXPECT_EQ(lookups(), 2u);
+  translator(base + 2 * kPageBytes);  // A third page evicts the older of the two.
+  EXPECT_EQ(lookups(), 3u);
+  translator(base + kPageBytes);
+  EXPECT_EQ(lookups(), 3u);
+  translator(base);
+  EXPECT_EQ(lookups(), 4u);
+  // Faults are never remembered.
+  EXPECT_FALSE(translator(base + 3 * kPageBytes).has_value());
+  EXPECT_FALSE(translator(base + 3 * kPageBytes).has_value());
+  EXPECT_EQ(lookups(), 6u);
+  // A remap anywhere drops every memo.
+  auto mux = kernel_.MuxTranslator();
+  mux(base + kPageBytes);
+  EXPECT_EQ(lookups(), 7u);
+  ASSERT_TRUE(kernel_.MovePage(d, base + 2 * kPageBytes));
+  EXPECT_EQ(translator(base), kernel_.Translate(d, base));
+  EXPECT_EQ(mux(base + kPageBytes), kernel_.Translate(d, base + kPageBytes));
+  EXPECT_EQ(lookups(), 9u);
+}
+
+// Ties the translator memos to HostKernel::Translate under every change to
+// the page tables. Each domain keeps a hot page pair that every round
+// touches first and last (a, b, a random page, a fault, a, b; the pair
+// may change before the last two), so every closure enters the next
+// change remembering the pair. Then one change: AllocRegion, MovePage,
+// MovePageToFrame or DestroyDomain, mostly of a hot page. A remembered
+// page that outlives its mapping shows as a mismatch in the next round.
+TEST_F(KernelTest, TranslatorMemosMatchTranslateThroughRemaps) {
+  struct Tracked {
+    DomainId domain;
+    uint64_t pages;           // Pages mapped from the domain's base.
+    uint64_t hot[2];          // The hot pair, as page indices.
+    std::function<std::optional<PhysAddr>(VirtAddr)> own;  // TranslatorFor.
+    std::function<std::optional<PhysAddr>(VirtAddr)> mux;  // Its own MuxTranslator.
+  };
+  Rng rng(31);
+  auto shared_mux = kernel_.MuxTranslator();
+  std::vector<Tracked> tracked;
+  auto create = [&] {
+    const DomainId d = kernel_.CreateDomain({.name = "t"});
+    const uint64_t pages = 2 + rng.NextBelow(4);
+    ASSERT_TRUE(kernel_.AllocRegion(d, pages).has_value());
+    tracked.push_back({d, pages, {0, 1}, kernel_.TranslatorFor(d), kernel_.MuxTranslator()});
+  };
+  for (int i = 0; i < 4; ++i) {
+    create();
+  }
+  uint64_t checked = 0;
+  auto check = [&](Tracked& t, VirtAddr va) {
+    const std::optional<PhysAddr> expected = kernel_.Translate(t.domain, va);
+    EXPECT_EQ(t.own(va), expected) << "domain " << t.domain << " va " << va;
+    EXPECT_EQ(t.mux(va), expected) << "domain " << t.domain << " va " << va;
+    EXPECT_EQ(shared_mux(va), expected) << "domain " << t.domain << " va " << va;
+    ++checked;
+  };
+  auto page_va = [](const Tracked& t, uint64_t page) {
+    return AddressSpace::BaseFor(t.domain) + page * kPageBytes;
+  };
+  auto round = [&](Tracked& t) {
+    const uint64_t offset = rng.NextBelow(kPageBytes);
+    check(t, page_va(t, t.hot[0]) + offset);
+    check(t, page_va(t, t.hot[1]) + offset);
+    check(t, page_va(t, rng.NextBelow(t.pages)) + offset);
+    check(t, page_va(t, t.pages) + offset);  // Past the last region: a fault.
+    if (rng.NextBool(0.25)) {
+      t.hot[rng.NextBelow(2)] = rng.NextBelow(t.pages);
+    }
+    check(t, page_va(t, t.hot[0]) + offset);
+    check(t, page_va(t, t.hot[1]) + offset);
+  };
+  uint64_t changes[4] = {};  // AllocRegion, MovePage, MovePageToFrame, DestroyDomain.
+  for (int step = 0; step < 3000 && !HasFailure(); ++step) {
+    for (Tracked& t : tracked) {
+      round(t);
+    }
+    // A destroyed domain gets the one round above, where every access
+    // must fault, and then leaves.
+    std::erase_if(tracked, [&](const Tracked& t) { return !kernel_.HasDomain(t.domain); });
+    const size_t index = rng.NextBelow(tracked.size());
+    Tracked& t = tracked[index];
+    const uint64_t page = rng.NextBool(0.75) ? t.hot[rng.NextBelow(2)] : rng.NextBelow(t.pages);
+    const uint64_t kind = rng.NextBelow(4);
+    ++changes[kind];
+    switch (kind) {
+      case 0: {
+        const uint64_t pages = 1 + rng.NextBelow(2);
+        ASSERT_EQ(kernel_.AllocRegion(t.domain, pages), std::optional(page_va(t, t.pages)));
+        t.pages += pages;
+        break;
+      }
+      case 1:
+        ASSERT_TRUE(kernel_.MovePage(t.domain, page_va(t, page)));
+        break;
+      case 2:
+        ASSERT_TRUE(kernel_.MovePageToFrame(t.domain, page_va(t, page),
+                                            *alloc_.AllocFrame(t.domain)));
+        break;
+      default:
+        kernel_.DestroyDomain(t.domain);
+        create();  // Invalidates `t`.
+        break;
+    }
+  }
+  EXPECT_GE(checked, 50000u);
+  for (uint64_t count : changes) {
+    EXPECT_GE(count, 600u);
+  }
 }
 
 // Reference model for the domain table: std::maps plus a mirror

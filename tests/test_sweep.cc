@@ -92,6 +92,21 @@ TEST(SpecKey, RejectsUnknownNamesAndMissingMembers) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(SpecKey, RejectsNonPowerOfTwoChannels) {
+  for (uint64_t channels : {uint64_t{0}, uint64_t{3}, uint64_t{6}, uint64_t{1} << 32}) {
+    JsonValue canonical = SpecCanonicalJson(ScenarioSpec{});
+    canonical.Set("channels", JsonValue::Uint(channels));
+    std::string error;
+    EXPECT_FALSE(SpecFromCanonicalJson(canonical, &error).has_value()) << channels;
+    EXPECT_EQ(error, "bad channels " + std::to_string(channels) + " (want a power of two)");
+  }
+  JsonValue canonical = SpecCanonicalJson(ScenarioSpec{});
+  canonical.Set("channels", JsonValue::Uint(4));
+  const std::optional<ScenarioSpec> decoded = SpecFromCanonicalJson(canonical);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->system.dram.org.channels, 4u);
+}
+
 TEST(ExpandGrid, DeduplicatesAndSortsByKey) {
   SweepGrid grid = TinyGrid();
   grid.attacks = {AttackKind::kDoubleSided, AttackKind::kDoubleSided};

@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
       .Flag("csv", "emit CSV instead of a table")
       .Flag("verbose", "dump raw MC/DRAM statistics afterwards");
   AddRunnerFlags(parser);
+  AddTelemetryFlags(parser);
   if (!parser.Parse(argc, argv)) {
     return Fail(parser.error());
   }
