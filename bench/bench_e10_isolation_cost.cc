@@ -84,5 +84,6 @@ int main(int argc, char** argv) {
   ht::BenchMain(argc, argv);
   ht::GuardRowTable();
   ht::PolicyComparison();
+  ht::FlushRunnerTelemetry();  // No simulation: a metrics document with zero reports.
   return 0;
 }

@@ -21,7 +21,9 @@ struct Outcome {
   bool attack_possible = true;
 };
 
-Outcome RunEnclave(bool integrity, DefenseKind defense, bool subarray_isolated) {
+Outcome RunEnclave(bool integrity, DefenseKind defense, bool subarray_isolated,
+                   ScenarioTelemetry* telemetry) {
+  const Cycle kRun = RunBudget(1000000);
   SystemConfig config;
   config.cores = 2;
   ApplyDefensePreset(config, defense, 256);
@@ -29,7 +31,7 @@ Outcome RunEnclave(bool integrity, DefenseKind defense, bool subarray_isolated) 
     config.mc.scheme = InterleaveScheme::kSubarrayIsolated;
     config.alloc = AllocPolicy::kSubarrayAware;
   }
-  System system(config);
+  JobSystem system(config, telemetry);
   const DomainId attacker = system.AddDomain({.name = "attacker"});
   const DomainId enclave = system.AddDomain(
       {.name = "enclave", .enclave = true, .integrity_checked = integrity});
@@ -59,7 +61,7 @@ Outcome RunEnclave(bool integrity, DefenseKind defense, bool subarray_isolated) 
     hammer.aggressors = plan->aggressor_vas;
     system.AssignCore(0, attacker, std::make_unique<HammerStream>(hammer));
   }
-  system.RunFor(1000000);
+  system.RunFor(kRun);
   const SecurityOutcome security = Assess(system);
   outcome.flips = security.cross_domain_flips;
   // Count only the enclave's own lines (Assess already drained caches).
@@ -67,10 +69,11 @@ Outcome RunEnclave(bool integrity, DefenseKind defense, bool subarray_isolated) 
       system.kernel().VerifyRegion(enclave, enclave_base, 32 * chunk);
   outcome.corrupted = enclave_verify.corrupted_lines;
   outcome.dos = enclave_verify.dos_lockups;
+  system.Report(kRun);
   return outcome;
 }
 
-void Main() {
+void Main(unsigned threads) {
   Table table("E11. Enclave memory under attack (§4.4): corruption vs. denial-of-service");
   table.SetHeader({"enclave integrity check", "defense", "cross-domain flips",
                    "corrupted enclave lines", "DoS lockups", "outcome"});
@@ -88,8 +91,15 @@ void Main() {
       {false, "subarray-isolation", DefenseKind::kNone, true},
       {true, "subarray-isolation", DefenseKind::kNone, true},
   };
-  for (const Case& c : cases) {
-    const Outcome outcome = RunEnclave(c.integrity, c.defense, c.subarray);
+  const std::vector<Outcome> outcomes = RunScenarios(
+      "e11", cases.size(),
+      [&](size_t i, ScenarioTelemetry* t) {
+        return RunEnclave(cases[i].integrity, cases[i].defense, cases[i].subarray, t);
+      },
+      threads);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const Outcome& outcome = outcomes[i];
     std::string verdict;
     if (!outcome.attack_possible) {
       verdict = "no adjacency (isolated)";
@@ -113,7 +123,6 @@ void Main() {
 }  // namespace ht
 
 int main(int argc, char** argv) {
-  ht::BenchMain(argc, argv);
-  ht::Main();
+  ht::Main(ht::BenchMain(argc, argv));
   return 0;
 }

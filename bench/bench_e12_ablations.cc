@@ -54,7 +54,7 @@ void InferenceAccuracy() {
   table.Print();
 }
 
-void RemapRobustness() {
+void RemapRobustness(unsigned threads) {
   Table table("E12c. Victim refresh under vendor row remapping (double-sided, 1.2M cycles, summed over 4 vendor maps)");
   table.SetHeader({"defense", "remap", "cross-domain flips", "notes"});
   struct Case {
@@ -70,12 +70,12 @@ void RemapRobustness() {
       {"sw-refresh + REF_NEIGHBORS", DefenseKind::kSwRefreshRefn, true,
        "device refreshes internal neighbours"},
   };
+  // Whether a given sandwich straddles a remapped row is luck of the
+  // vendor map; aggregate over several maps so the comparison is not
+  // seed noise. Without remapping there is no map variance to aggregate.
+  std::vector<ScenarioSpec> specs;
   for (const Case& c : cases) {
-    // Whether a given sandwich straddles a remapped row is luck of the
-    // vendor map; aggregate over several maps so the comparison is not
-    // seed noise.
-    uint64_t flips = 0;
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
+    for (uint64_t seed = 1; seed <= (c.remap ? 4 : 1); ++seed) {
       ScenarioSpec spec;
       spec.defense = c.defense;
       spec.attack = AttackKind::kDoubleSided;
@@ -85,10 +85,15 @@ void RemapRobustness() {
         spec.system.dram.remap.remap_fraction = 0.5;
         spec.system.dram.remap.seed = seed;
       }
-      flips += RunScenario(spec).security.cross_domain_flips;
-      if (!c.remap) {
-        break;  // No map variance to aggregate.
-      }
+      specs.push_back(spec);
+    }
+  }
+  const std::vector<ScenarioResult> results = RunScenarios(specs, threads);
+  size_t next = 0;
+  for (const Case& c : cases) {
+    uint64_t flips = 0;
+    for (uint64_t seed = 1; seed <= (c.remap ? 4 : 1); ++seed) {
+      flips += results[next++].security.cross_domain_flips;
     }
     table.AddRow({c.label, Table::YesNo(c.remap), Table::Num(flips), c.note});
   }
@@ -98,42 +103,53 @@ void RemapRobustness() {
             "why §4.3 asks DRAM vendors for it as the optional assist.");
 }
 
-void RowBufferPolicy() {
+PerfSummary RunPagePolicy(bool open_page, const std::string& workload,
+                          ScenarioTelemetry* telemetry) {
+  const Cycle kRun = RunBudget(400000);
+  SystemConfig config;
+  config.cores = 2;
+  config.mc.open_page = open_page;
+  JobSystem system(config, telemetry);
+  auto tenants = SetupTenants(system, 2, 256);
+  for (uint32_t i = 0; i < 2; ++i) {
+    system.AssignCore(i, tenants[i],
+                      MakeWorkload(workload, tenants[i], AddressSpace::BaseFor(tenants[i]),
+                                   256 * kPageBytes, ~0ull >> 1, 61 + i));
+  }
+  system.RunFor(kRun);
+  const PerfSummary perf = Summarize(system, kRun);
+  system.Report(kRun);
+  return perf;
+}
+
+void RowBufferPolicy(unsigned threads) {
   Table table("E12d. Row-buffer policy ablation (open vs. closed page)");
   table.SetHeader({"policy", "benign stream ops/kcycle", "benign random ops/kcycle",
                    "row-hit rate (stream)", "attack flips (double-sided)"});
-  for (const bool open_page : {true, false}) {
-    double stream_tp = 0.0;
-    double random_tp = 0.0;
-    double hit_rate = 0.0;
-    for (const std::string& workload : {std::string("stream"), std::string("random")}) {
-      SystemConfig config;
-      config.cores = 2;
-      config.mc.open_page = open_page;
-      System system(config);
-      auto tenants = SetupTenants(system, 2, 256);
-      for (uint32_t i = 0; i < 2; ++i) {
-        system.AssignCore(i, tenants[i],
-                          MakeWorkload(workload, tenants[i], AddressSpace::BaseFor(tenants[i]),
-                                       256 * kPageBytes, ~0ull >> 1, 61 + i));
-      }
-      system.RunFor(400000);
-      const PerfSummary perf = Summarize(system, 400000);
-      if (workload == "stream") {
-        stream_tp = perf.ops_per_kcycle;
-        hit_rate = perf.row_hit_rate;
-      } else {
-        random_tp = perf.ops_per_kcycle;
-      }
-    }
+  // Job 2p is policy p's stream run, job 2p+1 its random run.
+  const std::vector<bool> open_pages = {true, false};
+  const std::vector<PerfSummary> benign = RunScenarios(
+      "e12d", 2 * open_pages.size(),
+      [&](size_t i, ScenarioTelemetry* t) {
+        return RunPagePolicy(open_pages[i / 2], i % 2 == 0 ? "stream" : "random", t);
+      },
+      threads);
+  std::vector<ScenarioSpec> specs;
+  for (const bool open_page : open_pages) {
     ScenarioSpec spec;
     spec.attack = AttackKind::kDoubleSided;
     spec.system.mc.open_page = open_page;
     spec.run_cycles = 1000000;
-    const ScenarioResult attack = RunScenario(spec);
-    table.AddRow({open_page ? "open-page (default)" : "closed-page (RDA/WRA)",
-                  Table::Fixed(stream_tp, 1), Table::Fixed(random_tp, 1),
-                  Table::Percent(hit_rate), Table::Num(attack.security.flip_events)});
+    specs.push_back(spec);
+  }
+  const std::vector<ScenarioResult> attacks = RunScenarios(specs, threads);
+  for (size_t p = 0; p < open_pages.size(); ++p) {
+    const PerfSummary& stream = benign[2 * p];
+    table.AddRow({open_pages[p] ? "open-page (default)" : "closed-page (RDA/WRA)",
+                  Table::Fixed(stream.ops_per_kcycle, 1),
+                  Table::Fixed(benign[2 * p + 1].ops_per_kcycle, 1),
+                  Table::Percent(stream.row_hit_rate),
+                  Table::Num(attacks[p].security.flip_events)});
   }
   table.Print();
   std::puts("\nReading: closed-page forfeits row-buffer locality (streams suffer most)\n"
@@ -141,10 +157,11 @@ void RowBufferPolicy() {
             "hit the row buffer anyway.");
 }
 
-void EccAblation() {
+void EccAblation(unsigned threads) {
   Table table("E12e. SECDED ECC vs. flip density (double-sided, 1.5M cycles)");
   table.SetHeader({"ECC", "bits/flip-event", "flip events", "corrupted lines read",
                    "ecc corrected", "ecc detected (MCE)", "ecc escaped"});
+  std::vector<ScenarioSpec> specs;
   for (const bool ecc : {false, true}) {
     for (const uint32_t bits : {1u, 8u}) {
       ScenarioSpec spec;
@@ -158,14 +175,18 @@ void EccAblation() {
       if (bits > 1) {
         spec.system.dram.org.columns = 16;
       }
-      const ScenarioResult result = RunScenario(spec);
-      // ECC statistics live on the device; re-deriving them here would
-      // need the System, so RunScenario reports corrupted lines and we
-      // print the flip/corruption relationship.
-      table.AddRow({Table::YesNo(ecc), Table::Num(uint64_t{bits}),
-                    Table::Num(result.security.flip_events),
-                    Table::Num(result.security.corrupted_lines), "-", "-", "-"});
+      specs.push_back(spec);
     }
+  }
+  // ECC statistics live on the device; re-deriving them here would need
+  // the System, so RunScenario reports corrupted lines and we print the
+  // flip/corruption relationship.
+  const std::vector<ScenarioResult> results = RunScenarios(specs, threads);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    table.AddRow({Table::YesNo(specs[i].system.dram.ecc.enabled),
+                  Table::Num(uint64_t{specs[i].system.dram.disturbance.max_flip_bits}),
+                  Table::Num(results[i].security.flip_events),
+                  Table::Num(results[i].security.corrupted_lines), "-", "-", "-"});
   }
   table.Print();
   std::puts("\nReading: with ECC on, low-density flips (1 bit/event) are fully\n"
@@ -174,65 +195,82 @@ void EccAblation() {
             "but does not stop Rowhammer.");
 }
 
-void RefreshModeAblation() {
+std::vector<std::string> RefreshModeRow(bool per_bank, ScenarioTelemetry* telemetry) {
+  const Cycle kRun = RunBudget(600000);
+  SystemConfig config;
+  config.cores = 4;
+  config.dram.retention.per_bank_refresh = per_bank;
+  JobSystem system(config, telemetry);
+  auto tenants = SetupTenants(system, 4, 256);
+  for (uint32_t i = 0; i < 4; ++i) {
+    system.AssignCore(i, tenants[i],
+                      MakeWorkload("random", tenants[i], AddressSpace::BaseFor(tenants[i]),
+                                   256 * kPageBytes, ~0ull >> 1, 81 + i));
+  }
+  system.RunFor(kRun);
+  const PerfSummary perf = Summarize(system, kRun);
+  const Histogram* latency = system.mc().stats().GetHistogram("mc.read_latency");
+  const uint64_t refs = system.mc().stats().Get("mc.refs_issued") +
+                        system.mc().stats().Get("mc.refs_sb_issued");
+  system.Report(kRun);
+  return {per_bank ? "per-bank (REFsb)" : "all-bank (REF)", Table::Fixed(perf.ops_per_kcycle, 1),
+          latency != nullptr ? Table::Num(latency->Quantile(0.99)) : "-", Table::Num(refs),
+          Table::Num(system.mc().device(0).CountRetentionViolations(system.now()))};
+}
+
+void RefreshModeAblation(unsigned threads) {
   Table table("E12g. Refresh management: all-bank REF vs. DDR5-style same-bank REFsb");
   table.SetHeader({"mode", "ops/kcycle (4x random)", "read p99 (cyc)", "REF cmds",
                    "retention violations"});
-  for (const bool per_bank : {false, true}) {
-    SystemConfig config;
-    config.cores = 4;
-    config.dram.retention.per_bank_refresh = per_bank;
-    System system(config);
-    auto tenants = SetupTenants(system, 4, 256);
-    for (uint32_t i = 0; i < 4; ++i) {
-      system.AssignCore(i, tenants[i],
-                        MakeWorkload("random", tenants[i], AddressSpace::BaseFor(tenants[i]),
-                                     256 * kPageBytes, ~0ull >> 1, 81 + i));
-    }
-    system.RunFor(600000);
-    const PerfSummary perf = Summarize(system, 600000);
-    const Histogram* latency = system.mc().stats().GetHistogram("mc.read_latency");
-    const uint64_t refs = system.mc().stats().Get("mc.refs_issued") +
-                          system.mc().stats().Get("mc.refs_sb_issued");
-    table.AddRow({per_bank ? "per-bank (REFsb)" : "all-bank (REF)",
-                  Table::Fixed(perf.ops_per_kcycle, 1),
-                  latency != nullptr ? Table::Num(latency->Quantile(0.99)) : "-",
-                  Table::Num(refs),
-                  Table::Num(system.mc().device(0).CountRetentionViolations(system.now()))});
+  for (const auto& row : RunScenarios(
+           "e12g", 2, [](size_t i, ScenarioTelemetry* t) { return RefreshModeRow(i == 1, t); },
+           threads)) {
+    table.AddRow(row);
   }
   table.Print();
   std::puts("\nReading: REFsb trades one long rank-wide stall for many short per-bank\n"
             "ones: the p99 read latency drops while retention stays clean.");
 }
 
-void WatchSetAblation() {
-  Table table("E12f. SoftTRR-style watch-set defense: coverage is everything");
-  table.SetHeader({"watched pages", "victim flips", "watch refreshes"});
-  for (const bool watched : {false, true}) {
-    SystemConfig config;
-    config.cores = 2;
-    System system(config);
-    auto tenants = SetupTenants(system, 2, 512);
-    WatchSetConfig watch_config;
-    watch_config.period = 1u << 15;
-    auto defense = std::make_unique<WatchSetDefense>(watch_config);
-    WatchSetDefense* raw = defense.get();
-    system.InstallDefense(std::move(defense));
-    if (watched) {
-      raw->Watch(tenants[1], AddressSpace::BaseFor(tenants[1]), 512);
-    }
-    auto plan = PlanDoubleSidedCross(system.kernel(), tenants[0], tenants[1]);
-    if (!plan.has_value()) {
-      continue;
-    }
+// One coverage setting's table row; empty when the attacker found no plan.
+std::vector<std::string> WatchSetRow(bool watched, ScenarioTelemetry* telemetry) {
+  const Cycle kRun = RunBudget(1000000);
+  SystemConfig config;
+  config.cores = 2;
+  JobSystem system(config, telemetry);
+  auto tenants = SetupTenants(system, 2, 512);
+  WatchSetConfig watch_config;
+  watch_config.period = 1u << 15;
+  auto defense = std::make_unique<WatchSetDefense>(watch_config);
+  WatchSetDefense* raw = defense.get();
+  system.InstallDefense(std::move(defense));
+  if (watched) {
+    raw->Watch(tenants[1], AddressSpace::BaseFor(tenants[1]), 512);
+  }
+  auto plan = PlanDoubleSidedCross(system.kernel(), tenants[0], tenants[1]);
+  std::vector<std::string> row;
+  if (plan.has_value()) {
     HammerConfig hammer;
     hammer.aggressors = plan->aggressor_vas;
     system.AssignCore(0, tenants[0], std::make_unique<HammerStream>(hammer));
-    system.RunFor(1000000);
+    system.RunFor(kRun);
     const SecurityOutcome outcome = Assess(system);
-    table.AddRow({watched ? "victim's region" : "none",
-                  Table::Num(outcome.cross_domain_flips),
-                  Table::Num(system.defense()->stats().Get("defense.watch_refreshes"))});
+    row = {watched ? "victim's region" : "none", Table::Num(outcome.cross_domain_flips),
+           Table::Num(system.defense()->stats().Get("defense.watch_refreshes"))};
+  }
+  system.Report(kRun);
+  return row;
+}
+
+void WatchSetAblation(unsigned threads) {
+  Table table("E12f. SoftTRR-style watch-set defense: coverage is everything");
+  table.SetHeader({"watched pages", "victim flips", "watch refreshes"});
+  for (const auto& row : RunScenarios(
+           "e12f", 2, [](size_t i, ScenarioTelemetry* t) { return WatchSetRow(i == 1, t); },
+           threads)) {
+    if (!row.empty()) {
+      table.AddRow(row);
+    }
   }
   table.Print();
 }
@@ -241,13 +279,13 @@ void WatchSetAblation() {
 }  // namespace ht
 
 int main(int argc, char** argv) {
-  ht::BenchMain(argc, argv);
+  const unsigned threads = ht::BenchMain(argc, argv);
   ht::RefNeighborsVsInstr();
   ht::InferenceAccuracy();
-  ht::RemapRobustness();
-  ht::RowBufferPolicy();
-  ht::EccAblation();
-  ht::WatchSetAblation();
-  ht::RefreshModeAblation();
+  ht::RemapRobustness(threads);
+  ht::RowBufferPolicy(threads);
+  ht::EccAblation(threads);
+  ht::WatchSetAblation(threads);
+  ht::RefreshModeAblation(threads);
   return 0;
 }

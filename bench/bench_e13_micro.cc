@@ -176,8 +176,8 @@ ThroughputSample MedianOf(int repeats, const std::function<ThroughputSample()>& 
 void WriteThroughputReport(int repeats) {
   // Idle skipping runs ~1000x faster, so it simulates more cycles to keep
   // its wall time (the speedup's divisor) well above timer noise.
-  const Cycle off_cycles = std::min<Cycle>(30000000, BenchSmokeCap());
-  const Cycle on_cycles = std::min<Cycle>(4000000000, BenchSmokeCap());
+  const Cycle off_cycles = RunBudget(30000000);
+  const Cycle on_cycles = RunBudget(4000000000);
   const ThroughputSample off =
       MedianOf(repeats, [&] { return MeasureIdleHeavy(false, off_cycles); });
   const ThroughputSample on = MedianOf(repeats, [&] { return MeasureIdleHeavy(true, on_cycles); });
@@ -373,12 +373,12 @@ BusySeries MeasureBusySeries(int repeats, Cycle cycles,
 }
 
 void WriteBusyReport(int repeats) {
-  const BusySeries mc = MeasureBusySeries(repeats, std::min<Cycle>(8000000, BenchSmokeCap()),
+  const BusySeries mc = MeasureBusySeries(repeats, RunBudget(8000000),
                                           MeasureMcHammerLoop);
   uint64_t dma_served_off = 0;
   uint64_t dma_served_on = 0;
   const BusySeries dma = MeasureBusySeries(
-      repeats, std::min<Cycle>(400000, BenchSmokeCap()), [&](bool event_driven, Cycle cycles) {
+      repeats, RunBudget(400000), [&](bool event_driven, Cycle cycles) {
         return MeasureMcDmaQueue(event_driven, cycles,
                                  event_driven ? &dma_served_on : &dma_served_off);
       });
@@ -388,7 +388,7 @@ void WriteBusyReport(int repeats) {
                  static_cast<unsigned long long>(dma_served_off));
     std::exit(1);
   }
-  const BusySeries sys = MeasureBusySeries(repeats, std::min<Cycle>(4000000, BenchSmokeCap()),
+  const BusySeries sys = MeasureBusySeries(repeats, RunBudget(4000000),
                                            MeasureHammerHeavy);
 
   FILE* out = std::fopen("BENCH_busy.json", "w");

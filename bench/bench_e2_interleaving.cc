@@ -21,73 +21,57 @@ struct Config {
   AllocPolicy alloc;
 };
 
-void RunMix(const std::vector<Config>& configs, const std::string& workload_kind,
-            const std::string& title, size_t baseline_index) {
+struct MixOutcome {
+  PerfSummary perf;
+  bool adjacency = false;
+};
+
+MixOutcome RunMix(const Config& config, const std::string& workload_kind,
+                  ScenarioTelemetry* telemetry) {
+  const Cycle kRun = RunBudget(600000);
+  SystemConfig system_config;
+  system_config.cores = 4;
+  system_config.core.window = 16;  // High-MLP cores (irregular apps).
+  system_config.mc.scheme = config.scheme;
+  system_config.alloc = config.alloc;
+  JobSystem system(system_config, telemetry);
+  auto tenants = SetupTenants(system, 4, 1024);
+  for (uint32_t i = 0; i < 4; ++i) {
+    system.AssignCore(i, tenants[i],
+                      MakeWorkload(workload_kind, tenants[i], AddressSpace::BaseFor(tenants[i]),
+                                   1024 * kPageBytes, ~0ull >> 1, 31 + i));
+  }
+  system.RunFor(kRun);
+  const MixOutcome outcome = {
+      Summarize(system, kRun),
+      HasCrossDomainAdjacency(system.kernel(), tenants[0],
+                              system.config().dram.disturbance.blast_radius)};
+  system.Report(kRun);
+  return outcome;
+}
+
+void PrintMix(const std::vector<Config>& configs, const MixOutcome* outcomes,
+              const std::string& title, size_t baseline_index) {
   Table table(title);
   table.SetHeader({"configuration", "ops/kcycle", "vs interleaved", "row-hit rate",
                    "read lat (cyc)", "cross-domain adjacency?"});
-
-  const Cycle kRun = 600000;
-  std::vector<std::vector<std::string>> rows;
-  std::vector<double> throughputs;
-
-  for (const Config& config : configs) {
-    SystemConfig system_config;
-    system_config.cores = 4;
-    system_config.core.window = 16;  // High-MLP cores (irregular apps).
-    system_config.mc.scheme = config.scheme;
-    system_config.alloc = config.alloc;
-    System system(system_config);
-    auto tenants = SetupTenants(system, 4, 1024);
-    for (uint32_t i = 0; i < 4; ++i) {
-      system.AssignCore(i, tenants[i],
-                        MakeWorkload(workload_kind, tenants[i],
-                                     AddressSpace::BaseFor(tenants[i]), 1024 * kPageBytes,
-                                     ~0ull >> 1, 31 + i));
-    }
-    system.RunFor(kRun);
-    const PerfSummary perf = Summarize(system, kRun);
-    throughputs.push_back(perf.ops_per_kcycle);
-
-    const bool adjacency = HasCrossDomainAdjacency(
-        system.kernel(), tenants[0], system.config().dram.disturbance.blast_radius);
-    rows.push_back({config.label, Table::Fixed(perf.ops_per_kcycle, 1), "",
-                    Table::Percent(perf.row_hit_rate), Table::Fixed(perf.avg_read_latency, 1),
-                    adjacency ? "yes (attackable)" : "no"});
-  }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const double delta = throughputs[i] / throughputs[baseline_index] - 1.0;
-    rows[i][2] = i == baseline_index
-                     ? "baseline"
-                     : (delta >= 0 ? "+" : "-") + Table::Percent(std::abs(delta));
-    table.AddRow(rows[i]);
+  const double baseline = outcomes[baseline_index].perf.ops_per_kcycle;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const PerfSummary& perf = outcomes[i].perf;
+    const double delta = perf.ops_per_kcycle / baseline - 1.0;
+    table.AddRow({configs[i].label, Table::Fixed(perf.ops_per_kcycle, 1),
+                  i == baseline_index
+                      ? "baseline"
+                      : (delta >= 0 ? "+" : "-") + Table::Percent(std::abs(delta)),
+                  Table::Percent(perf.row_hit_rate), Table::Fixed(perf.avg_read_latency, 1),
+                  outcomes[i].adjacency ? "yes (attackable)" : "no"});
   }
   table.Print();
 }
 
-void Main() {
-  const std::vector<Config> configs = {
-      {"cache-line interleave + linear (fast, unsafe)", InterleaveScheme::kCacheLine,
-       AllocPolicy::kLinear},
-      {"permutation interleave + linear", InterleaveScheme::kPermutation, AllocPolicy::kLinear},
-      {"no interleave + bank-aware (isolated)", InterleaveScheme::kBankSequential,
-       AllocPolicy::kBankAware},
-      {"subarray-isolated interleave + subarray-aware", InterleaveScheme::kSubarrayIsolated,
-       AllocPolicy::kSubarrayAware},
-  };
-  // The paper's cited >18% benefit [49] is about irregular, high-MLP
-  // applications: their parallelism starves when a tenant is confined to
-  // one bank. Streaming workloads instead benefit from private banks
-  // (no row-buffer interference) — both sides are reported.
-  RunMix(configs, "random",
-         "E2. Irregular workloads (4 VMs x uniform random): bank-level parallelism matters",
-         /*baseline_index=*/0);
-  RunMix(configs, "stream",
-         "E2 (contrast). Streaming workloads (4 VMs x sequential): row-buffer interference "
-         "matters",
-         /*baseline_index=*/0);
-
-  // Fig. 2 demonstration: where one page of each domain lands.
+// Fig. 2 demonstration: where one page of each domain lands. Returns the
+// rendered table.
+std::string Fig2Table(ScenarioTelemetry* telemetry) {
   Table fig2("E2b. Fig. 2 in practice: first page of each tenant under subarray-isolated "
              "interleaving (bank spread kept, subarray pinned)");
   fig2.SetHeader({"tenant", "subarray group", "banks touched by one page", "rows"});
@@ -95,7 +79,7 @@ void Main() {
   demo_config.cores = 1;
   demo_config.mc.scheme = InterleaveScheme::kSubarrayIsolated;
   demo_config.alloc = AllocPolicy::kSubarrayAware;
-  System demo(demo_config);
+  JobSystem demo(demo_config, telemetry);
   auto tenants = SetupTenants(demo, 3, 16, 0, /*fill=*/false);
   for (DomainId tenant : tenants) {
     const VirtAddr base = AddressSpace::BaseFor(tenant);
@@ -122,14 +106,48 @@ void Main() {
                      std::to_string(demo.config().dram.org.banks),
                  row_str});
   }
-  fig2.Print();
+  demo.Report(0);
+  return fig2.ToString();
+}
+
+void Main(unsigned threads) {
+  const std::vector<Config> configs = {
+      {"cache-line interleave + linear (fast, unsafe)", InterleaveScheme::kCacheLine,
+       AllocPolicy::kLinear},
+      {"permutation interleave + linear", InterleaveScheme::kPermutation, AllocPolicy::kLinear},
+      {"no interleave + bank-aware (isolated)", InterleaveScheme::kBankSequential,
+       AllocPolicy::kBankAware},
+      {"subarray-isolated interleave + subarray-aware", InterleaveScheme::kSubarrayIsolated,
+       AllocPolicy::kSubarrayAware},
+  };
+  // The paper's cited >18% benefit [49] is about irregular, high-MLP
+  // applications: their parallelism starves when a tenant is confined to
+  // one bank. Streaming workloads instead benefit from private banks
+  // (no row-buffer interference) — both sides are reported.
+  const std::vector<std::string> kinds = {"random", "stream"};
+  const std::vector<MixOutcome> mixes = RunScenarios(
+      "e2", kinds.size() * configs.size(),
+      [&](size_t i, ScenarioTelemetry* t) {
+        return RunMix(configs[i % configs.size()], kinds[i / configs.size()], t);
+      },
+      threads);
+  const std::string fig2 =
+      RunScenarios("e2b", 1, [](size_t, ScenarioTelemetry* t) { return Fig2Table(t); }, threads)[0];
+
+  PrintMix(configs, &mixes[0],
+           "E2. Irregular workloads (4 VMs x uniform random): bank-level parallelism matters",
+           /*baseline_index=*/0);
+  PrintMix(configs, &mixes[configs.size()],
+           "E2 (contrast). Streaming workloads (4 VMs x sequential): row-buffer interference "
+           "matters",
+           /*baseline_index=*/0);
+  std::fputs(fig2.c_str(), stdout);
 }
 
 }  // namespace
 }  // namespace ht
 
 int main(int argc, char** argv) {
-  ht::BenchMain(argc, argv);
-  ht::Main();
+  ht::Main(ht::BenchMain(argc, argv));
   return 0;
 }

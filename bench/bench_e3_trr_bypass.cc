@@ -11,7 +11,7 @@
 namespace ht {
 namespace {
 
-void Main() {
+void Main(unsigned threads) {
   const std::vector<uint32_t> table_sizes = {2, 4, 8, 16};
   const std::vector<uint32_t> sides_sweep = {1, 2, 4, 8, 16, 32};
 
@@ -23,8 +23,8 @@ void Main() {
   header.push_back("no TRR");
   table.SetHeader(header);
 
+  std::vector<ScenarioSpec> specs;
   for (uint32_t sides : sides_sweep) {
-    std::vector<std::string> row = {Table::Num(uint64_t{sides})};
     for (size_t config_index = 0; config_index <= table_sizes.size(); ++config_index) {
       ScenarioSpec spec;
       spec.attack = AttackKind::kManySided;
@@ -36,8 +36,15 @@ void Main() {
         spec.system.dram.trr.table_entries = table_sizes[config_index];
         spec.system.dram.trr.refreshes_per_ref = 2;
       }
-      const ScenarioResult result = RunScenario(spec);
-      row.push_back(Table::Num(result.security.flip_events));
+      specs.push_back(spec);
+    }
+  }
+  const std::vector<ScenarioResult> results = RunScenarios(specs, threads);
+  size_t next = 0;
+  for (uint32_t sides : sides_sweep) {
+    std::vector<std::string> row = {Table::Num(uint64_t{sides})};
+    for (size_t config_index = 0; config_index <= table_sizes.size(); ++config_index) {
+      row.push_back(Table::Num(results[next++].security.flip_events));
     }
     table.AddRow(row);
   }
@@ -52,7 +59,6 @@ void Main() {
 }  // namespace ht
 
 int main(int argc, char** argv) {
-  ht::BenchMain(argc, argv);
-  ht::Main();
+  ht::Main(ht::BenchMain(argc, argv));
   return 0;
 }

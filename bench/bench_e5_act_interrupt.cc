@@ -13,14 +13,41 @@
 namespace ht {
 namespace {
 
-void ThresholdSweep() {
+struct BenignOutcome {
+  uint64_t interrupts = 0;
+  PerfSummary perf;
+};
+
+// Benign-only run: interrupt load with no attacker.
+BenignOutcome RunBenign(uint64_t threshold, ScenarioTelemetry* telemetry) {
+  const Cycle kRun = RunBudget(600000);
+  SystemConfig benign_config;
+  benign_config.cores = 4;
+  ApplyDefensePreset(benign_config, DefenseKind::kSwRefresh, threshold);
+  JobSystem benign(benign_config, telemetry);
+  auto tenants = SetupTenants(benign, 4, 256);
+  benign.InstallDefense(MakeDefense(DefenseKind::kSwRefresh, benign_config.dram));
+  for (uint32_t i = 0; i < 4; ++i) {
+    benign.AssignCore(i, tenants[i],
+                      MakeWorkload("random", tenants[i], AddressSpace::BaseFor(tenants[i]),
+                                   256 * kPageBytes, ~0ull >> 1, 7 + i));
+  }
+  benign.RunFor(kRun);
+  const BenignOutcome outcome = {benign.defense()->stats().Get("defense.interrupts"),
+                                 Summarize(benign, kRun)};
+  benign.Report(kRun);
+  return outcome;
+}
+
+void ThresholdSweep(unsigned threads) {
   Table table("E5a. Interrupt threshold sweep (sw-refresh defense, double-sided attack + benign "
               "4-core load)");
   table.SetHeader({"threshold", "interrupts (attack)", "victim flips", "interrupts (benign only)",
                    "benign ops/kcycle"});
 
-  for (uint64_t threshold : {128ull, 256ull, 512ull, 1024ull, 2048ull}) {
-    // Attack run.
+  const std::vector<uint64_t> thresholds = {128, 256, 512, 1024, 2048};
+  std::vector<ScenarioSpec> specs;
+  for (uint64_t threshold : thresholds) {
     ScenarioSpec attack_spec;
     attack_spec.defense = DefenseKind::kSwRefresh;
     attack_spec.attack = AttackKind::kDoubleSided;
@@ -28,35 +55,25 @@ void ThresholdSweep() {
     attack_spec.run_cycles = 1200000;
     attack_spec.benign_corunner = true;
     attack_spec.system.cores = 2;
-    const ScenarioResult attack = RunScenario(attack_spec);
-
-    // Benign-only run: interrupt load with no attacker.
-    SystemConfig benign_config;
-    benign_config.cores = 4;
-    ApplyDefensePreset(benign_config, DefenseKind::kSwRefresh, threshold);
-    System benign(benign_config);
-    auto tenants = SetupTenants(benign, 4, 256);
-    benign.InstallDefense(MakeDefense(DefenseKind::kSwRefresh, benign_config.dram));
-    for (uint32_t i = 0; i < 4; ++i) {
-      benign.AssignCore(i, tenants[i],
-                        MakeWorkload("random", tenants[i], AddressSpace::BaseFor(tenants[i]),
-                                     256 * kPageBytes, ~0ull >> 1, 7 + i));
-    }
-    benign.RunFor(600000);
-    const uint64_t benign_interrupts = benign.defense()->stats().Get("defense.interrupts");
-    const PerfSummary benign_perf = Summarize(benign, 600000);
-
-    table.AddRow({Table::Num(threshold), Table::Num(attack.defense_interrupts),
-                  Table::Num(attack.security.flip_events), Table::Num(benign_interrupts),
-                  Table::Fixed(benign_perf.ops_per_kcycle, 1)});
+    specs.push_back(attack_spec);
+  }
+  const std::vector<ScenarioResult> attacks = RunScenarios(specs, threads);
+  const std::vector<BenignOutcome> benign = RunScenarios(
+      "e5a.benign", thresholds.size(),
+      [&](size_t i, ScenarioTelemetry* t) { return RunBenign(thresholds[i], t); }, threads);
+  for (size_t i = 0; i < thresholds.size(); ++i) {
+    table.AddRow({Table::Num(thresholds[i]), Table::Num(attacks[i].defense_interrupts),
+                  Table::Num(attacks[i].security.flip_events), Table::Num(benign[i].interrupts),
+                  Table::Fixed(benign[i].perf.ops_per_kcycle, 1)});
   }
   table.Print();
 }
 
-void ResetModes() {
+void ResetModes(unsigned threads) {
   Table table("E5b. Adaptive (counter-synchronized) attacker vs. counter reset policy "
               "(sw-refresh+REF_NEIGHBORS, threshold 512, 2M cycles)");
   table.SetHeader({"reset policy", "cross-domain flips", "interrupts", "evasion works?"});
+  std::vector<ScenarioSpec> specs;
   for (const bool randomize : {false, true}) {
     ScenarioSpec spec;
     spec.defense = DefenseKind::kSwRefreshRefn;
@@ -64,7 +81,12 @@ void ResetModes() {
     spec.act_threshold = 512;
     spec.run_cycles = 2000000;
     spec.randomize_reset = randomize;
-    const ScenarioResult result = RunScenario(spec);
+    specs.push_back(spec);
+  }
+  const std::vector<ScenarioResult> results = RunScenarios(specs, threads);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const bool randomize = *specs[i].randomize_reset;
+    const ScenarioResult& result = results[i];
     table.AddRow({randomize ? "randomized (proposed)" : "deterministic (reset to 0)",
                   Table::Num(result.security.cross_domain_flips),
                   Table::Num(result.defense_interrupts),
@@ -80,8 +102,8 @@ void ResetModes() {
 }  // namespace ht
 
 int main(int argc, char** argv) {
-  ht::BenchMain(argc, argv);
-  ht::ThresholdSweep();
-  ht::ResetModes();
+  const unsigned threads = ht::BenchMain(argc, argv);
+  ht::ThresholdSweep(threads);
+  ht::ResetModes(threads);
   return 0;
 }

@@ -24,14 +24,18 @@ struct MethodResult {
 
 // One experiment: repeatedly disturb a victim row, then repair it with the
 // given method, checking the disturbance accumulator actually reset.
-MethodResult RunMethod(const std::string& method, uint32_t noise_cores) {
+// The trials are fixed micro-steps, not a run budget: HT_BENCH_SMOKE
+// leaves them whole.
+MethodResult RunMethod(const std::string& method, uint32_t noise_cores,
+                       ScenarioTelemetry* telemetry) {
   SystemConfig config;
   config.cores = 1 + noise_cores;
   ApplyDefensePreset(config, DefenseKind::kSwRefresh, 1u << 30);  // Counter off-path.
-  System system(config);
+  JobSystem system(config, telemetry);
   auto tenants = SetupTenants(system, 2, 512);
   auto plan = PlanDoubleSidedCross(system.kernel(), tenants[0], tenants[1]);
   if (!plan.has_value()) {
+    system.Report(0);
     return {};
   }
   // Noise: other cores stream over the victim tenant's memory, keeping
@@ -106,24 +110,31 @@ MethodResult RunMethod(const std::string& method, uint32_t noise_cores) {
                                   mc.device(plan->channel).stats().Get("dram.pres") +
                                   mc.device(plan->channel).stats().Get("dram.ref_neighbors");
   result.dram_commands = (commands_after - commands_before) / std::max<uint64_t>(1, result.attempts);
+  system.Report(system.now());
   return result;
 }
 
-void Main() {
+void Main(unsigned threads) {
+  const std::vector<std::string> methods = {"refresh-instr", "ref-neighbors", "flush+load"};
+  const std::vector<uint32_t> noises = {0, 3};
+  const std::vector<MethodResult> results = RunScenarios(
+      "e6", methods.size() * noises.size(),
+      [&](size_t i, ScenarioTelemetry* t) {
+        return RunMethod(methods[i / noises.size()], noises[i % noises.size()], t);
+      },
+      threads);
+
   Table table("E6. Victim-row refresh methods: repair reliability and cost (40 trials each)");
   table.SetHeader({"method", "noise cores", "repair success", "mean wall latency (cyc)",
                    "DRAM cmds/trial (incl. attack)"});
-  for (const std::string& method : {std::string("refresh-instr"), std::string("ref-neighbors"),
-                                    std::string("flush+load")}) {
-    for (uint32_t noise : {0u, 3u}) {
-      const MethodResult result = RunMethod(method, noise);
-      table.AddRow({method, Table::Num(uint64_t{noise}),
-                    result.attempts == 0
-                        ? "-"
-                        : Table::Percent(static_cast<double>(result.repaired) /
-                                         static_cast<double>(result.attempts)),
-                    Table::Fixed(result.mean_latency, 0), Table::Num(result.dram_commands)});
-    }
+  for (size_t i = 0; i < results.size(); ++i) {
+    const MethodResult& result = results[i];
+    table.AddRow({methods[i / noises.size()], Table::Num(uint64_t{noises[i % noises.size()]}),
+                  result.attempts == 0
+                      ? "-"
+                      : Table::Percent(static_cast<double>(result.repaired) /
+                                       static_cast<double>(result.attempts)),
+                  Table::Fixed(result.mean_latency, 0), Table::Num(result.dram_commands)});
   }
   table.Print();
   std::puts(
@@ -137,7 +148,6 @@ void Main() {
 }  // namespace ht
 
 int main(int argc, char** argv) {
-  ht::BenchMain(argc, argv);
-  ht::Main();
+  ht::Main(ht::BenchMain(argc, argv));
   return 0;
 }

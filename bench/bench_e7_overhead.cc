@@ -24,9 +24,10 @@ struct BenignOutcome {
   double dram_energy_uj = 0.0;
 };
 
-BenignOutcome RunBenign(const DefenseCase& c, const std::string& workload) {
+// The one defense-case-to-system mapping, shared by both experiments.
+SystemConfig ConfigFor(const DefenseCase& c, uint32_t cores) {
   SystemConfig config;
-  config.cores = 4;
+  config.cores = cores;
   ApplyDefensePreset(config, c.defense, 512);
   if (c.trr) {
     config.dram.trr.enabled = true;
@@ -35,7 +36,14 @@ BenignOutcome RunBenign(const DefenseCase& c, const std::string& workload) {
     config.mc.scheme = InterleaveScheme::kSubarrayIsolated;
     config.alloc = AllocPolicy::kSubarrayAware;
   }
-  System system(config);
+  return config;
+}
+
+BenignOutcome RunBenign(const DefenseCase& c, const std::string& workload,
+                        ScenarioTelemetry* telemetry) {
+  const Cycle kRun = RunBudget(500000);
+  SystemConfig config = ConfigFor(c, 4);
+  JobSystem system(config, telemetry);
   auto tenants = SetupTenants(system, 4, 256);
   system.InstallDefense(MakeDefense(c.defense, config.dram));
   InstallHwMitigation(system, c.hw);
@@ -44,7 +52,6 @@ BenignOutcome RunBenign(const DefenseCase& c, const std::string& workload) {
                       MakeWorkload(workload, tenants[i], AddressSpace::BaseFor(tenants[i]),
                                    256 * kPageBytes, ~0ull >> 1, 131 + i));
   }
-  const Cycle kRun = 500000;
   system.RunFor(kRun);
   BenignOutcome outcome;
   outcome.perf = Summarize(system, kRun);
@@ -54,23 +61,16 @@ BenignOutcome RunBenign(const DefenseCase& c, const std::string& workload) {
                                   .total_nj() /
                               1000.0;
   }
+  system.Report(kRun);
   return outcome;
 }
 
 // Fairness under attack: how much throughput a benign co-runner keeps
 // while the attacker hammers, per defense.
-double VictimThroughputUnderAttack(const DefenseCase& c) {
-  SystemConfig config;
-  config.cores = 2;
-  ApplyDefensePreset(config, c.defense, 512);
-  if (c.trr) {
-    config.dram.trr.enabled = true;
-  }
-  if (c.subarray) {
-    config.mc.scheme = InterleaveScheme::kSubarrayIsolated;
-    config.alloc = AllocPolicy::kSubarrayAware;
-  }
-  System system(config);
+double VictimThroughputUnderAttack(const DefenseCase& c, ScenarioTelemetry* telemetry) {
+  const Cycle kRun = RunBudget(500000);
+  SystemConfig config = ConfigFor(c, 2);
+  JobSystem system(config, telemetry);
   auto tenants = SetupTenants(system, 2, 512);
   system.InstallDefense(MakeDefense(c.defense, config.dram));
   InstallHwMitigation(system, c.hw);
@@ -86,11 +86,12 @@ double VictimThroughputUnderAttack(const DefenseCase& c) {
   system.AssignCore(1, tenants[1],
                     MakeWorkload("random", tenants[1], AddressSpace::BaseFor(tenants[1]),
                                  512 * kPageBytes, ~0ull >> 1, 5));
-  system.RunFor(500000);
-  return static_cast<double>(system.core(1).ops_completed()) / 500.0;
+  system.RunFor(kRun);
+  system.Report(kRun);
+  return static_cast<double>(system.core(1).ops_completed()) / (kRun / 1000.0);
 }
 
-void Main() {
+void Main(unsigned threads) {
   const std::vector<DefenseCase> cases = {
       {"none"},
       {"trr n=4 (in-DRAM)", DefenseKind::kNone, HwMitigationKind::kNone, true, false},
@@ -119,14 +120,27 @@ void Main() {
                  "other tenant hammers (500k cycles)");
   fairness.SetHeader({"defense", "victim kops under attack", "vs undefended"});
 
+  const std::vector<BenignOutcome> benign = RunScenarios(
+      "e7", cases.size() * workloads.size(),
+      [&](size_t i, ScenarioTelemetry* t) {
+        return RunBenign(cases[i / workloads.size()], workloads[i % workloads.size()], t);
+      },
+      threads);
+  const std::vector<double> victim_kops = RunScenarios(
+      "e7b", cases.size(),
+      [&](size_t i, ScenarioTelemetry* t) { return VictimThroughputUnderAttack(cases[i], t); },
+      threads);
+
   std::map<std::string, double> baseline;
   double fairness_baseline = 0.0;
-  for (const DefenseCase& c : cases) {
+  size_t next = 0;
+  for (size_t case_index = 0; case_index < cases.size(); ++case_index) {
+    const DefenseCase& c = cases[case_index];
     std::vector<std::string> row = {c.label};
     uint64_t extra_acts_random = 0;
     double energy_random = 0.0;
     for (const auto& workload : workloads) {
-      const BenignOutcome outcome = RunBenign(c, workload);
+      const BenignOutcome& outcome = benign[next++];
       const PerfSummary& perf = outcome.perf;
       if (c.label == "none") {
         baseline[workload] = perf.ops_per_kcycle;
@@ -145,12 +159,12 @@ void Main() {
     row.push_back(Table::Fixed(energy_random, 1));
     table.AddRow(row);
 
-    const double victim_kops = VictimThroughputUnderAttack(c);
+    const double victim = victim_kops[case_index];
     if (c.label == "none") {
-      fairness_baseline = victim_kops;
+      fairness_baseline = victim;
     }
-    const double delta = fairness_baseline > 0 ? victim_kops / fairness_baseline - 1.0 : 0.0;
-    fairness.AddRow({c.label, Table::Fixed(victim_kops, 1),
+    const double delta = fairness_baseline > 0 ? victim / fairness_baseline - 1.0 : 0.0;
+    fairness.AddRow({c.label, Table::Fixed(victim, 1),
                      c.label == "none"
                          ? "baseline"
                          : (delta >= 0 ? "+" : "-") + Table::Percent(std::abs(delta))});
@@ -172,7 +186,6 @@ void Main() {
 }  // namespace ht
 
 int main(int argc, char** argv) {
-  ht::BenchMain(argc, argv);
-  ht::Main();
+  ht::Main(ht::BenchMain(argc, argv));
   return 0;
 }

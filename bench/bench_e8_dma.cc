@@ -12,11 +12,7 @@
 namespace ht {
 namespace {
 
-void Main() {
-  Table table("E8. CPU-driven vs. DMA-driven double-sided hammer (1.2M cycles)");
-  table.SetHeader({"defense", "attack path", "detections/interrupts", "cross-domain flips",
-                   "protected"});
-
+void Main(unsigned threads) {
   struct Case {
     std::string label;
     DefenseKind defense;
@@ -26,18 +22,28 @@ void Main() {
       {"anvil (CPU PMU sampling)", DefenseKind::kAnvil},
       {"sw-refresh (MC ACT interrupt)", DefenseKind::kSwRefresh},
   };
+  const std::vector<AttackKind> attacks = {AttackKind::kDoubleSided, AttackKind::kDma};
+  std::vector<ScenarioSpec> specs;
   for (const Case& c : cases) {
-    for (AttackKind attack : {AttackKind::kDoubleSided, AttackKind::kDma}) {
+    for (AttackKind attack : attacks) {
       ScenarioSpec spec;
       spec.defense = c.defense;
       spec.attack = attack;
       spec.run_cycles = 1200000;
-      const ScenarioResult result = RunScenario(spec);
-      const uint64_t flips = result.security.cross_domain_flips;
-      table.AddRow({c.label, attack == AttackKind::kDma ? "DMA engine" : "CPU core",
-                    Table::Num(result.defense_interrupts), Table::Num(flips),
-                    Table::YesNo(flips == 0)});
+      specs.push_back(spec);
     }
+  }
+  const std::vector<ScenarioResult> results = RunScenarios(specs, threads);
+
+  Table table("E8. CPU-driven vs. DMA-driven double-sided hammer (1.2M cycles)");
+  table.SetHeader({"defense", "attack path", "detections/interrupts", "cross-domain flips",
+                   "protected"});
+  for (size_t i = 0; i < results.size(); ++i) {
+    const uint64_t flips = results[i].security.cross_domain_flips;
+    table.AddRow({cases[i / attacks.size()].label,
+                  attacks[i % attacks.size()] == AttackKind::kDma ? "DMA engine" : "CPU core",
+                  Table::Num(results[i].defense_interrupts), Table::Num(flips),
+                  Table::YesNo(flips == 0)});
   }
   table.Print();
   std::puts("\nReading: ANVIL protects against the CPU path but is blind to DMA\n"
@@ -50,7 +56,6 @@ void Main() {
 }  // namespace ht
 
 int main(int argc, char** argv) {
-  ht::BenchMain(argc, argv);
-  ht::Main();
+  ht::Main(ht::BenchMain(argc, argv));
   return 0;
 }

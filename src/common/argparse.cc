@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 namespace ht {
 
@@ -16,28 +17,14 @@ ArgParser::ArgParser(std::string program, std::string description)
 }
 
 ArgParser& ArgParser::Flag(const std::string& name, std::string help) {
-  Spec spec;
-  spec.name = name;
-  spec.help = std::move(help);
-  spec.takes_value = false;
-  specs_.push_back(std::move(spec));
+  specs_.push_back({name, "", std::move(help), "", /*takes_value=*/false});
   return *this;
 }
 
 ArgParser& ArgParser::Option(const std::string& name, std::string value_name, std::string help,
                              std::string default_value) {
-  Spec spec;
-  spec.name = name;
-  spec.value_name = std::move(value_name);
-  spec.help = std::move(help);
-  spec.default_value = std::move(default_value);
-  spec.takes_value = true;
-  specs_.push_back(std::move(spec));
-  return *this;
-}
-
-ArgParser& ArgParser::AllowUnknown() {
-  allow_unknown_ = true;
+  specs_.push_back({name, std::move(value_name), std::move(help), std::move(default_value),
+                    /*takes_value=*/true});
   return *this;
 }
 
@@ -48,12 +35,7 @@ ArgParser& ArgParser::AllowPositionals(std::string name_help) {
 }
 
 ArgParser::Spec* ArgParser::FindSpec(std::string_view name) {
-  for (Spec& spec : specs_) {
-    if (spec.name == name) {
-      return &spec;
-    }
-  }
-  return nullptr;
+  return const_cast<Spec*>(std::as_const(*this).FindSpec(name));
 }
 
 const ArgParser::Spec* ArgParser::FindSpec(std::string_view name) const {
@@ -66,7 +48,7 @@ const ArgParser::Spec* ArgParser::FindSpec(std::string_view name) const {
 }
 
 bool ArgParser::Fail(std::string message) {
-  error_ = std::move(message);
+  error_ = std::move(message) + " (try --help)";
   return false;
 }
 
@@ -75,7 +57,7 @@ bool ArgParser::Parse(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg.size() < 2 || arg[0] != '-' || arg[1] != '-') {
       if (!allow_positionals_) {
-        return Fail("unexpected argument '" + std::string(arg) + "' (try --help)");
+        return Fail("unexpected argument '" + std::string(arg) + "'");
       }
       positionals_.emplace_back(arg);
       continue;
@@ -90,13 +72,7 @@ bool ArgParser::Parse(int argc, char** argv) {
     }
     Spec* spec = FindSpec(name);
     if (spec == nullptr) {
-      if (!allow_unknown_) {
-        return Fail("unknown flag --" + std::string(name) + " (try --help)");
-      }
-      unknown_.emplace_back(arg);
-      // Unknown flags in `--name value` form are ambiguous; only consume
-      // a trailing value when it was attached with '='.
-      continue;
+      return Fail("unknown flag --" + std::string(name));
     }
     if (!spec->takes_value) {
       if (has_inline_value) {
@@ -117,6 +93,17 @@ bool ArgParser::Parse(int argc, char** argv) {
   }
   help_requested_ = Has("help");
   return true;
+}
+
+void ArgParser::ParseOrExit(int argc, char** argv) {
+  if (!Parse(argc, argv)) {
+    std::fprintf(stderr, "%s: error: %s\n", program_.c_str(), error_.c_str());
+    std::exit(2);
+  }
+  if (help_requested_) {
+    std::fputs(Usage().c_str(), stdout);
+    std::exit(0);
+  }
 }
 
 std::string ArgParser::Usage() const {
@@ -198,21 +185,11 @@ int64_t ArgParser::GetInt(std::string_view name) const {
 
 std::vector<std::string> ArgParser::GetStrings(std::string_view name) const {
   std::vector<std::string> out;
-  const std::string& text = Get(name);
-  if (text.empty()) {
-    return out;
-  }
-  size_t start = 0;
-  while (start <= text.size()) {
-    const size_t comma = text.find(',', start);
-    const size_t end = comma == std::string::npos ? text.size() : comma;
-    if (end > start) {
-      out.push_back(text.substr(start, end - start));
+  std::istringstream items(Get(name));
+  for (std::string item; std::getline(items, item, ',');) {
+    if (!item.empty()) {
+      out.push_back(std::move(item));
     }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
   }
   return out;
 }

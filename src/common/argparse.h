@@ -6,8 +6,7 @@
 // Flags are declared up front (Flag for booleans, Option for valued
 // flags); Parse then accepts both `--name value` and `--name=value`
 // spellings. `--help` is registered automatically. Unknown flags are an
-// error unless AllowUnknown() was called (bench mains allow them so
-// harness wrappers can pass extra arguments through).
+// error.
 #ifndef HAMMERTIME_SRC_COMMON_ARGPARSE_H_
 #define HAMMERTIME_SRC_COMMON_ARGPARSE_H_
 
@@ -27,14 +26,17 @@ class ArgParser {
   // Declares a valued flag. `value_name` is only used in the usage text.
   ArgParser& Option(const std::string& name, std::string value_name, std::string help,
                     std::string default_value = "");
-  // Collect unknown `--flags` instead of failing (bench mains).
-  ArgParser& AllowUnknown();
   // Accept bare (non-flag) arguments; they land in positionals().
   ArgParser& AllowPositionals(std::string name_help);
 
-  // Returns false on a malformed command line (see error()). A lone
-  // `--help` parses successfully with help_requested() set.
+  // Returns false on a malformed command line (see error(), which ends in
+  // "(try --help)"). A lone `--help` parses successfully with
+  // help_requested() set.
   bool Parse(int argc, char** argv);
+  // Parse for a CLI main: a malformed command line exits 2 with
+  // "<program>: error: <error()>" on stderr; --help prints Usage() and
+  // exits 0.
+  void ParseOrExit(int argc, char** argv);
 
   bool help_requested() const { return help_requested_; }
   const std::string& error() const { return error_; }
@@ -57,7 +59,6 @@ class ArgParser {
   std::vector<int64_t> GetInts(std::string_view name) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }
-  const std::vector<std::string>& unknown() const { return unknown_; }
 
  private:
   struct Spec {
@@ -68,7 +69,7 @@ class ArgParser {
     bool takes_value = false;
     // Parse results:
     bool set = false;
-    std::string value;
+    std::string value{};
   };
 
   Spec* FindSpec(std::string_view name);
@@ -84,9 +85,7 @@ class ArgParser {
   std::string positional_help_;
   std::vector<Spec> specs_;
   std::vector<std::string> positionals_;
-  std::vector<std::string> unknown_;
   std::string error_;
-  bool allow_unknown_ = false;
   bool allow_positionals_ = false;
   bool help_requested_ = false;
 };

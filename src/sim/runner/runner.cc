@@ -1,7 +1,6 @@
 #include "sim/runner/runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -22,7 +21,7 @@
 
 namespace ht {
 
-Cycle BenchSmokeCap() {
+Cycle RunBudget(Cycle cycles) {
   static const Cycle cap = [] {
     const char* env = std::getenv("HT_BENCH_SMOKE");
     if (env == nullptr || *env == '\0') {
@@ -32,7 +31,7 @@ Cycle BenchSmokeCap() {
     const unsigned long long parsed = std::strtoull(env, &end, 10);
     return (end != env && parsed > 0) ? static_cast<Cycle>(parsed) : Cycle{20000};
   }();
-  return cap;
+  return std::min(cycles, cap);
 }
 
 RunnerTelemetryOptions& RunnerTelemetry() {
@@ -56,13 +55,27 @@ RunnerTelemetryState& TelemetryState() {
   return state;
 }
 
+void SetPerf(JsonValue& out, const PerfSummary& perf) {
+  out.Set("ops", JsonValue::Uint(perf.ops));
+  out.Set("cycles", JsonValue::Uint(perf.cycles));
+  out.Set("ops_per_kcycle", JsonValue::Double(perf.ops_per_kcycle));
+  out.Set("row_hit_rate", JsonValue::Double(perf.row_hit_rate));
+  out.Set("avg_read_latency", JsonValue::Double(perf.avg_read_latency));
+  out.Set("p99_read_latency", JsonValue::Double(perf.p99_read_latency));
+  out.Set("extra_acts", JsonValue::Uint(perf.extra_acts));
+}
+
+SystemConfig WithTelemetry(SystemConfig config, const ScenarioTelemetry* telemetry) {
+  if (telemetry != nullptr) {
+    config.telemetry.trace = telemetry->trace;
+    config.telemetry.sample_every = telemetry->sample_every;
+  }
+  return config;
+}
+
 }  // namespace
 
-void ResetRunnerTelemetry() {
-  TelemetryState().sink = std::make_unique<TraceSink>();
-  TelemetryState().reports.clear();
-  TelemetryState().scenarios_started = 0;
-}
+void ResetRunnerTelemetry() { TelemetryState() = RunnerTelemetryState(); }
 
 JsonValue ScenarioSpecToJson(const ScenarioSpec& spec) {
   JsonValue config = JsonValue::Object();
@@ -73,7 +86,7 @@ JsonValue ScenarioSpecToJson(const ScenarioSpec& spec) {
   config.Set("sides", JsonValue::Uint(spec.sides));
   config.Set("pattern_seed", JsonValue::Uint(spec.pattern_seed));
   config.Set("act_threshold", JsonValue::Uint(spec.act_threshold));
-  config.Set("run_cycles", JsonValue::Uint(std::min(spec.run_cycles, BenchSmokeCap())));
+  config.Set("run_cycles", JsonValue::Uint(RunBudget(spec.run_cycles)));
   config.Set("tenants", JsonValue::Uint(spec.tenants));
   config.Set("pages_per_tenant", JsonValue::Uint(spec.pages_per_tenant));
   config.Set("benign_corunner", JsonValue::Bool(spec.benign_corunner));
@@ -95,13 +108,7 @@ JsonValue ScenarioResultToJson(const ScenarioResult& result) {
   out.Set("intra_domain_flips", JsonValue::Uint(result.security.intra_domain_flips));
   out.Set("corrupted_lines", JsonValue::Uint(result.security.corrupted_lines));
   out.Set("dos_lockups", JsonValue::Uint(result.security.dos_lockups));
-  out.Set("ops", JsonValue::Uint(result.perf.ops));
-  out.Set("cycles", JsonValue::Uint(result.perf.cycles));
-  out.Set("ops_per_kcycle", JsonValue::Double(result.perf.ops_per_kcycle));
-  out.Set("row_hit_rate", JsonValue::Double(result.perf.row_hit_rate));
-  out.Set("avg_read_latency", JsonValue::Double(result.perf.avg_read_latency));
-  out.Set("p99_read_latency", JsonValue::Double(result.perf.p99_read_latency));
-  out.Set("extra_acts", JsonValue::Uint(result.perf.extra_acts));
+  SetPerf(out, result.perf);
   out.Set("defense_interrupts", JsonValue::Uint(result.defense_interrupts));
   out.Set("page_moves", JsonValue::Uint(result.page_moves));
   out.Set("throttle_stalls", JsonValue::Uint(result.throttle_stalls));
@@ -160,26 +167,22 @@ void PlanAndInstallAttack(System& system, const ScenarioSpec& spec, DomainId att
   switch (spec.attack) {
     case AttackKind::kNone:
       break;
-    case AttackKind::kDoubleSided:
-    case AttackKind::kManySided:
-    case AttackKind::kHalfDouble: {
-      HammerConfig hammer;
-      hammer.aggressors = plan->aggressor_vas;
-      system.AssignCore(0, attacker, std::make_unique<HammerStream>(hammer));
-      break;
-    }
-    case AttackKind::kPattern: {
+    case AttackKind::kPattern:
       if (pattern.has_value()) {
         PatternStreamConfig stream;
         stream.pattern = *pattern;
         stream.vas = plan->aggressor_vas;
         system.AssignCore(0, attacker,
                           std::make_unique<PatternHammerStream>(std::move(stream)));
-      } else {
-        HammerConfig hammer;
-        hammer.aggressors = plan->aggressor_vas;
-        system.AssignCore(0, attacker, std::make_unique<HammerStream>(hammer));
+        break;
       }
+      [[fallthrough]];  // No room for the pattern: plain double-sided hammering.
+    case AttackKind::kDoubleSided:
+    case AttackKind::kManySided:
+    case AttackKind::kHalfDouble: {
+      HammerConfig hammer;
+      hammer.aggressors = plan->aggressor_vas;
+      system.AssignCore(0, attacker, std::make_unique<HammerStream>(hammer));
       break;
     }
     case AttackKind::kDma: {
@@ -214,12 +217,39 @@ uint64_t CloudSeed(uint64_t seed, uint64_t salt) {
 
 }  // namespace
 
+JobSystem::JobSystem(std::chrono::steady_clock::time_point start, const SystemConfig& config,
+                     ScenarioTelemetry* telemetry)
+    : System(WithTelemetry(config, telemetry)), start_(start), telemetry_(telemetry) {}
+
+void JobSystem::Report(JsonValue config, JsonValue result) {
+  if (telemetry_ == nullptr) {
+    return;
+  }
+  const double wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+  TraceCounts counts;
+  if (telemetry_->trace != nullptr) {
+    counts.trace_events = telemetry_->trace->events_emitted();
+    counts.trace_dropped = telemetry_->trace->events_dropped();
+  }
+  counts.samples_taken = sampler().samples_taken();
+  telemetry_->report = BuildRunReport(telemetry_->label, std::move(config), std::move(result),
+                                      CollectStats(), &sampler(), wall_seconds, counts);
+}
+
+void JobSystem::Report(Cycle run_cycles) {
+  JsonValue config = JsonValue::Object();
+  config.Set("run_cycles", JsonValue::Uint(run_cycles));
+  JsonValue result = JsonValue::Object();
+  SetPerf(result, Summarize(*this, run_cycles));
+  Report(std::move(config), std::move(result));
+}
+
 ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry,
                            const ScenarioHooks* hooks) {
-  const auto wall_start = std::chrono::steady_clock::now();
   ProfilePhase total_phase("runner.scenario");
   ApplyDefensePreset(spec.system, spec.defense, spec.act_threshold);
-  spec.run_cycles = std::min(spec.run_cycles, BenchSmokeCap());
+  spec.run_cycles = RunBudget(spec.run_cycles);
   if (spec.randomize_reset.has_value()) {
     spec.system.mc.act_counter.randomize_reset = *spec.randomize_reset;
   }
@@ -231,11 +261,7 @@ ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry,
     spec.system.dram.remap.seed ^= mix * 3;
     spec.system.mc.act_counter.rng_seed ^= mix * 5;
   }
-  if (telemetry != nullptr) {
-    spec.system.telemetry.trace = telemetry->trace;
-    spec.system.telemetry.sample_every = telemetry->sample_every;
-  }
-  System system(spec.system);
+  JobSystem system(spec.system, telemetry);
   ScenarioResult result;
 
   if (!spec.traffic_mix.empty()) {
@@ -374,19 +400,7 @@ ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry,
   result.throttle_stalls = system.mc().stats().Get("mc.throttle_stalls");
   result.mitigation_refreshes = system.mc().stats().Get("mc.mitigation_refreshes");
 
-  if (telemetry != nullptr) {
-    telemetry->wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-    TraceCounts counts;
-    if (telemetry->trace != nullptr) {
-      counts.trace_events = telemetry->trace->events_emitted();
-      counts.trace_dropped = telemetry->trace->events_dropped();
-    }
-    counts.samples_taken = system.sampler().samples_taken();
-    telemetry->report = BuildRunReport(telemetry->label, ScenarioSpecToJson(spec),
-                                       ScenarioResultToJson(result), system.CollectStats(),
-                                       &system.sampler(), telemetry->wall_seconds, counts);
-  }
+  system.Report(ScenarioSpecToJson(spec), ScenarioResultToJson(result));
   if (hooks != nullptr && hooks->on_finish) {
     hooks->on_finish(system);
   }
@@ -422,38 +436,43 @@ void FlushRunnerTelemetry() {
   }
 }
 
-std::vector<ScenarioResult> RunScenarios(const std::vector<ScenarioSpec>& specs,
-                                         unsigned threads) {
-  std::vector<ScenarioResult> results(specs.size());
+void RunScenarios(size_t count, const std::function<std::string(size_t)>& label,
+                  const std::function<void(size_t, ScenarioTelemetry*)>& job,
+                  unsigned threads) {
   const RunnerTelemetryOptions& options = RunnerTelemetry();
   const bool telemetry_on = !options.trace_out.empty() || !options.metrics_out.empty();
-  // A single scenario never pays thread-count resolution or pool setup.
-  const unsigned workers = specs.size() <= 1 ? 1u : ResolveThreadCount(threads);
-  if (!telemetry_on) {
-    ParallelFor(specs.size(), workers,
-                [&](uint64_t i) { results[i] = RunScenario(specs[i]); });
-    return results;
-  }
-
-  // Buffers are created serially in spec order before the fan-out, so the
+  // Buffers are created serially in job order before the fan-out, so the
   // merged trace and the report order are identical for any worker count.
   RunnerTelemetryState& state = TelemetryState();
-  std::vector<ScenarioTelemetry> telemetry(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    telemetry[i].label = "scenario" + std::to_string(state.scenarios_started + i) + "." +
-                         ToString(specs[i].defense) + "." + ToString(specs[i].attack);
+  std::vector<ScenarioTelemetry> telemetry(telemetry_on ? count : 0);
+  for (size_t i = 0; i < telemetry.size(); ++i) {
+    telemetry[i].label = "scenario" + std::to_string(state.scenarios_started + i) + "." + label(i);
     if (!options.trace_out.empty()) {
       telemetry[i].trace = state.sink->CreateBuffer(telemetry[i].label);
     }
     telemetry[i].sample_every = options.sample_every;
   }
-  state.scenarios_started += specs.size();
-  ParallelFor(specs.size(), workers,
-              [&](uint64_t i) { results[i] = RunScenario(specs[i], &telemetry[i]); });
-  for (ScenarioTelemetry& scenario : telemetry) {
-    state.reports.push_back(std::move(scenario.report));
+  state.scenarios_started += telemetry.size();
+  // A single job never pays thread-count resolution or pool setup.
+  ParallelFor(count, count <= 1 ? 1u : ResolveThreadCount(threads),
+              [&](uint64_t i) { job(i, telemetry_on ? &telemetry[i] : nullptr); });
+  for (ScenarioTelemetry& done : telemetry) {
+    state.reports.push_back(std::move(done.report));
   }
-  FlushRunnerTelemetry();
+  if (telemetry_on) {
+    FlushRunnerTelemetry();
+  }
+}
+
+std::vector<ScenarioResult> RunScenarios(const std::vector<ScenarioSpec>& specs,
+                                         unsigned threads) {
+  std::vector<ScenarioResult> results(specs.size());
+  RunScenarios(
+      specs.size(),
+      [&](size_t i) {
+        return std::string(ToString(specs[i].defense)) + "." + ToString(specs[i].attack);
+      },
+      [&](size_t i, ScenarioTelemetry* t) { results[i] = RunScenario(specs[i], t); }, threads);
   return results;
 }
 

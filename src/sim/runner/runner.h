@@ -7,9 +7,11 @@
 #ifndef HAMMERTIME_SRC_SIM_RUNNER_RUNNER_H_
 #define HAMMERTIME_SRC_SIM_RUNNER_RUNNER_H_
 
+#include <chrono>
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/argparse.h"
@@ -70,12 +72,12 @@ struct ScenarioResult {
   uint64_t tenant_map_fingerprint = 0;    // End-of-run page-map hash (determinism).
 };
 
-// Smoke-test cap on per-scenario cycle budgets. When HT_BENCH_SMOKE is
-// set, every scenario runs for at most this many cycles (the variable's
-// value, or 20000 when it is set but not a number) — enough to exercise
-// the full setup/run/assess path while keeping whole benches under a
-// second for the `bench_smoke` CTest label.
-Cycle BenchSmokeCap();
+// The run budget of one job: `cycles`, capped for smoke tests. When
+// HT_BENCH_SMOKE is set, every job runs for at most that many cycles (the
+// variable's value, or 20000 when it is set but not a number) — enough to
+// exercise the full setup/run/assess path while keeping whole benches
+// under a second for the `bench_smoke` CTest label.
+Cycle RunBudget(Cycle cycles);
 
 // --- Telemetry plumbing ------------------------------------------------------
 
@@ -97,8 +99,8 @@ inline constexpr Cycle kDefaultSampleEvery = 16384;
 // Test hook: drop all accumulated buffers/reports (fresh TraceSink).
 void ResetRunnerTelemetry();
 
-// Per-scenario telemetry capture. RunScenarios fills the `in` fields (one
-// TraceBuffer per scenario, created in spec order so the merged trace is
+// Per-job telemetry capture. RunScenarios fills the `in` fields (one
+// TraceBuffer per job, created in job order so the merged trace is
 // deterministic under any worker count) and reads the `out` fields back
 // on the calling thread.
 struct ScenarioTelemetry {
@@ -108,7 +110,27 @@ struct ScenarioTelemetry {
   Cycle sample_every = 0;
   // out:
   JsonValue report;
-  double wall_seconds = 0.0;
+};
+
+// The System of one job (see RunScenarios), built with the job's trace
+// buffer and sampler attached. Report fills the job's
+// hammertime.run_report.v1; with telemetry off (null) it does nothing.
+class JobSystem : public System {
+ public:
+  JobSystem(const SystemConfig& config, ScenarioTelemetry* telemetry)
+      : JobSystem(std::chrono::steady_clock::now(), config, telemetry) {}
+
+  void Report(JsonValue config, JsonValue result);
+  // A job that ran its own workload: config {run_cycles}, result = the
+  // throughput summary.
+  void Report(Cycle run_cycles);
+
+ private:
+  JobSystem(std::chrono::steady_clock::time_point start, const SystemConfig& config,
+            ScenarioTelemetry* telemetry);
+
+  std::chrono::steady_clock::time_point start_;
+  ScenarioTelemetry* telemetry_;
 };
 
 // Flattens the interesting ScenarioSpec knobs into a config object for
@@ -147,14 +169,29 @@ ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry = nul
 // `error: cannot open <path>` line on stderr.
 void FlushRunnerTelemetry();
 
-// Runs every spec on a worker pool and returns the results in spec order.
-// Each scenario is a self-contained System (no shared mutable state), so
-// results are bit-identical to a serial `for (spec : specs) RunScenario`
-// loop regardless of the worker count or scheduling order.
-//
-// `threads` = 0 resolves via HT_THREADS, then hardware concurrency;
-// callers typically pass the value ApplyRunnerFlags returned so
-// `--threads N` wins.
+// The one fan-out: runs job(i, telemetry) for every i in [0, count) on
+// the shared worker pool. Each job runs its own JobSystem (RunScenario
+// does) and writes only its own outcome slot, so outcomes are
+// bit-identical to a serial loop for any worker count. With telemetry
+// on, job i gets a ScenarioTelemetry labelled label(i), and the reports
+// join the output files in job order after the batch; otherwise it gets
+// null. `threads` = 0 resolves via HT_THREADS, then hardware concurrency.
+void RunScenarios(size_t count, const std::function<std::string(size_t)>& label,
+                  const std::function<void(size_t, ScenarioTelemetry*)>& job,
+                  unsigned threads = 0);
+
+// Closure form: job i, labelled "<name>.<i>", returns element i of the
+// result (not bool: the jobs write their slots concurrently).
+template <typename Job>
+auto RunScenarios(const std::string& name, size_t count, Job job, unsigned threads = 0) {
+  std::vector<std::invoke_result_t<Job&, size_t, ScenarioTelemetry*>> results(count);
+  RunScenarios(
+      count, [&name](size_t i) { return name + "." + std::to_string(i); },
+      [&](size_t i, ScenarioTelemetry* telemetry) { results[i] = job(i, telemetry); }, threads);
+  return results;
+}
+
+// Spec form: job i is RunScenario(specs[i]), labelled "<defense>.<attack>".
 std::vector<ScenarioResult> RunScenarios(const std::vector<ScenarioSpec>& specs,
                                          unsigned threads = 0);
 

@@ -99,23 +99,23 @@ bool ResultCache::Store(const std::string& key, const JsonValue& cell, std::stri
   if (!enabled()) {
     return true;
   }
+  const auto fail = [error](const std::string& what) {
+    if (error != nullptr) {
+      *error = what;
+    }
+    return false;
+  };
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec) {
-    if (error != nullptr) {
-      *error = "cannot create " + dir_ + ": " + ec.message();
-    }
-    return false;
+    return fail("cannot create " + dir_ + ": " + ec.message());
   }
   const std::string final_path = PathFor(key);
   const std::string tmp_path = final_path + ".tmp";
   {
     std::ofstream out(tmp_path, std::ios::trunc | std::ios::binary);
     if (!out) {
-      if (error != nullptr) {
-        *error = "cannot open " + tmp_path;
-      }
-      return false;
+      return fail("cannot open " + tmp_path);
     }
     // Format follows the cache mode, not the tmp suffix.
     if (binary_) {
@@ -126,19 +126,13 @@ bool ResultCache::Store(const std::string& key, const JsonValue& cell, std::stri
       out << "\n";
     }
     if (!out) {
-      if (error != nullptr) {
-        *error = "write failed for " + tmp_path;
-      }
-      return false;
+      return fail("write failed for " + tmp_path);
     }
   }
   std::filesystem::rename(tmp_path, final_path, ec);
   if (ec) {
-    if (error != nullptr) {
-      *error = "cannot rename " + tmp_path + ": " + ec.message();
-    }
     std::remove(tmp_path.c_str());
-    return false;
+    return fail("cannot rename " + tmp_path + ": " + ec.message());
   }
   return true;
 }

@@ -92,13 +92,7 @@ int CampaignMain(const CampaignKind& kind, int argc, char** argv) {
       .Flag("list", "print the expanded cell list without running anything");
   AddRunnerFlags(parser);
   parser.AllowPositionals("report files for --merge");
-  if (!parser.Parse(argc, argv)) {
-    return Fail(kind, parser.error());
-  }
-  if (parser.help_requested()) {
-    std::fputs(parser.Usage().c_str(), stdout);
-    return 0;
-  }
+  parser.ParseOrExit(argc, argv);
   if (parser.GetBool("merge")) {
     return Merge(kind, parser);
   }

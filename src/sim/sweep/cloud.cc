@@ -6,10 +6,9 @@
 #include <utility>
 
 namespace ht {
-namespace {
 
-std::vector<CloudDefenseFamily> BuildFamilyRegistry() {
-  return {
+const std::vector<CloudDefenseFamily>& AllCloudDefenseFamilies() {
+  static const std::vector<CloudDefenseFamily> families = {
       {"none", DefenseKind::kNone, AllocPolicy::kLinear, InterleaveScheme::kCacheLine, false},
       {"isolation", DefenseKind::kNone, AllocPolicy::kSubarrayAware,
        InterleaveScheme::kSubarrayIsolated, true},
@@ -18,38 +17,7 @@ std::vector<CloudDefenseFamily> BuildFamilyRegistry() {
       {"refresh", DefenseKind::kSwRefresh, AllocPolicy::kLinear, InterleaveScheme::kCacheLine,
        false},
   };
-}
-
-bool FieldBool(const JsonValue& object, const char* name) {
-  const JsonValue* member = object.Find(name);
-  return member != nullptr && member->type() == JsonValue::Type::kBool && member->as_bool();
-}
-
-}  // namespace
-
-const std::vector<CloudDefenseFamily>& AllCloudDefenseFamilies() {
-  static const std::vector<CloudDefenseFamily> families = BuildFamilyRegistry();
   return families;
-}
-
-std::optional<CloudDefenseFamily> CloudFamilyByName(std::string_view name) {
-  for (const CloudDefenseFamily& family : AllCloudDefenseFamilies()) {
-    if (name == family.name) {
-      return family;
-    }
-  }
-  return std::nullopt;
-}
-
-std::string KnownCloudFamilies() {
-  std::string out;
-  for (const CloudDefenseFamily& family : AllCloudDefenseFamilies()) {
-    if (!out.empty()) {
-      out += ", ";
-    }
-    out += family.name;
-  }
-  return out;
 }
 
 void ApplyCloudFamily(ScenarioSpec& spec, const CloudDefenseFamily& family) {

@@ -40,8 +40,10 @@ struct CloudDefenseFamily {
 // wear-leveling into the tenant-aware quarantine pool), and "refresh"
 // (§4.3 software victim refresh).
 const std::vector<CloudDefenseFamily>& AllCloudDefenseFamilies();
-std::optional<CloudDefenseFamily> CloudFamilyByName(std::string_view name);
-std::string KnownCloudFamilies();
+inline std::optional<CloudDefenseFamily> CloudFamilyByName(std::string_view name) {
+  return EntryByName(AllCloudDefenseFamilies(), name);
+}
+inline std::string KnownCloudFamilies() { return EntryNames(AllCloudDefenseFamilies()); }
 
 // Applies the family's knobs to `spec` (defense kind, allocator policy,
 // interleave scheme, domain-group enforcement).

@@ -9,42 +9,15 @@
 #include "attack/pattern.h"
 
 namespace ht {
-namespace {
 
-std::vector<TrrVendorConfig> BuildVendorRegistry() {
-  return {
+const std::vector<TrrVendorConfig>& AllTrrVendors() {
+  static const std::vector<TrrVendorConfig> vendors = {
       {"none", false, 0, 0, 1.0},
       {"tracker-16", true, 16, 4, 1.0},
       {"tracker-4", true, 4, 2, 1.0},
       {"sampler-4", true, 4, 2, 0.25},
   };
-}
-
-}  // namespace
-
-const std::vector<TrrVendorConfig>& AllTrrVendors() {
-  static const std::vector<TrrVendorConfig> vendors = BuildVendorRegistry();
   return vendors;
-}
-
-std::optional<TrrVendorConfig> TrrVendorByName(std::string_view name) {
-  for (const TrrVendorConfig& vendor : AllTrrVendors()) {
-    if (name == vendor.name) {
-      return vendor;
-    }
-  }
-  return std::nullopt;
-}
-
-std::string KnownTrrVendors() {
-  std::string out;
-  for (const TrrVendorConfig& vendor : AllTrrVendors()) {
-    if (!out.empty()) {
-      out += ", ";
-    }
-    out += vendor.name;
-  }
-  return out;
 }
 
 void ApplyTrrVendor(DramConfig& dram, const TrrVendorConfig& vendor) {

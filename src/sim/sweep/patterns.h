@@ -37,8 +37,10 @@ struct TrrVendorConfig {
 // default shape), and "sampler-4" (shallow + probabilistic sampling — the
 // config non-uniform patterns are expected to beat).
 const std::vector<TrrVendorConfig>& AllTrrVendors();
-std::optional<TrrVendorConfig> TrrVendorByName(std::string_view name);
-std::string KnownTrrVendors();
+inline std::optional<TrrVendorConfig> TrrVendorByName(std::string_view name) {
+  return EntryByName(AllTrrVendors(), name);
+}
+inline std::string KnownTrrVendors() { return EntryNames(AllTrrVendors()); }
 
 // Applies the preset to `dram.trr` (disables TRR for "none").
 void ApplyTrrVendor(DramConfig& dram, const TrrVendorConfig& vendor);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 #include "common/telemetry/report.h"
 
@@ -20,9 +22,9 @@ constexpr InterleaveScheme kSchemes[] = {InterleaveScheme::kBankSequential,
                                          InterleaveScheme::kPermutation,
                                          InterleaveScheme::kSubarrayIsolated};
 
-template <typename Kind, size_t N>
-std::optional<Kind> DecodeByName(const Kind (&kinds)[N], std::string_view name) {
-  for (Kind kind : kinds) {
+template <const auto& kKinds>
+auto DecodeByName(std::string_view name) -> std::optional<std::decay_t<decltype(kKinds[0])>> {
+  for (const auto kind : kKinds) {
     if (name == ToString(kind)) {
       return kind;
     }
@@ -30,54 +32,69 @@ std::optional<Kind> DecodeByName(const Kind (&kinds)[N], std::string_view name) 
   return std::nullopt;
 }
 
-bool GetUintField(const JsonValue& json, const char* name, uint64_t* out, std::string* error) {
-  const JsonValue* member = json.Find(name);
-  if (member == nullptr || !member->is_number()) {
-    if (error != nullptr) {
-      *error = std::string("missing or non-numeric member '") + name + "'";
-    }
-    return false;
-  }
-  *out = member->as_uint();
-  return true;
-}
+// Strict member reads over one canonical spec object. The first missing
+// or mistyped member (or bad value) sets `error` and later failures keep
+// it; a failed read yields a zero value, so a decode reads straight
+// through and checks ok() once.
+class StrictReader {
+ public:
+  StrictReader(const JsonValue& json, std::string* error) : json_(json), error_(error) {}
 
-bool GetDoubleField(const JsonValue& json, const char* name, double* out, std::string* error) {
-  const JsonValue* member = json.Find(name);
-  if (member == nullptr || !member->is_number()) {
-    if (error != nullptr) {
-      *error = std::string("missing or non-numeric member '") + name + "'";
+  bool ok() const { return ok_; }
+  void Fail(const std::string& what) {
+    if (ok_ && error_ != nullptr) {
+      *error_ = what;
     }
-    return false;
+    ok_ = false;
   }
-  *out = member->as_double();
-  return true;
-}
 
-bool GetBoolField(const JsonValue& json, const char* name, bool* out, std::string* error) {
-  const JsonValue* member = json.Find(name);
-  if (member == nullptr || member->type() != JsonValue::Type::kBool) {
-    if (error != nullptr) {
-      *error = std::string("missing or non-bool member '") + name + "'";
-    }
-    return false;
+  uint64_t Uint(const char* name) {
+    const JsonValue* member = Member(name, "numeric", IsNumber);
+    return member != nullptr ? member->as_uint() : 0;
   }
-  *out = member->as_bool();
-  return true;
-}
+  uint32_t Uint32(const char* name) { return static_cast<uint32_t>(Uint(name)); }
+  double Double(const char* name) {
+    const JsonValue* member = Member(name, "numeric", IsNumber);
+    return member != nullptr ? member->as_double() : 0.0;
+  }
+  bool Bool(const char* name) {
+    const JsonValue* member = Member(name, "bool", Is<JsonValue::Type::kBool>);
+    return member != nullptr && member->as_bool();
+  }
+  std::string Str(const char* name) {
+    const JsonValue* member = Member(name, "string", Is<JsonValue::Type::kString>);
+    return member != nullptr ? member->as_string() : std::string();
+  }
+  // A string member naming a `what` that `decode` knows.
+  template <typename Decode>
+  auto Named(const char* name, const char* what, Decode decode) {
+    const std::string text = Str(name);
+    auto kind = decode(text);
+    if (!kind.has_value()) {
+      Fail(std::string("unknown ") + what + " '" + text + "'");
+    }
+    return kind.value_or(typename decltype(kind)::value_type{});
+  }
 
-bool GetStringField(const JsonValue& json, const char* name, std::string* out,
-                    std::string* error) {
-  const JsonValue* member = json.Find(name);
-  if (member == nullptr || member->type() != JsonValue::Type::kString) {
-    if (error != nullptr) {
-      *error = std::string("missing or non-string member '") + name + "'";
+ private:
+  static bool IsNumber(const JsonValue& value) { return value.is_number(); }
+  template <JsonValue::Type kType>
+  static bool Is(const JsonValue& value) { return value.type() == kType; }
+
+  const JsonValue* Member(const char* name, const char* type,
+                          bool (*has_type)(const JsonValue&)) {
+    const JsonValue* member = json_.Find(name);
+    if (member == nullptr || !has_type(*member)) {
+      Fail(std::string("missing or non-") + type + " member '" + name + "'");
+      return nullptr;
     }
-    return false;
+    return member;
   }
-  *out = member->as_string();
-  return true;
-}
+
+  const JsonValue& json_;
+  std::string* error_;
+  bool ok_ = true;
+};
 
 }  // namespace
 
@@ -162,208 +179,74 @@ std::optional<ScenarioSpec> SpecFromCanonicalJson(const JsonValue& json, std::st
     }
     return std::nullopt;
   }
+  StrictReader in(json, error);
   ScenarioSpec spec;
-  uint64_t value = 0;
-  bool flag = false;
-  std::string text;
-
-  if (!GetStringField(json, "dram", &text, error)) {
-    return std::nullopt;
-  }
-  const std::optional<DramConfig> profile = DramProfileByName(text);
-  if (!profile.has_value()) {
-    if (error != nullptr) {
-      *error = "unknown dram profile '" + text + "'";
-    }
-    return std::nullopt;
-  }
-  spec.system.dram = *profile;
-
-  if (!GetStringField(json, "defense", &text, error)) {
-    return std::nullopt;
-  }
-  const auto defense = DefenseKindFromString(text);
-  if (!defense.has_value()) {
-    if (error != nullptr) {
-      *error = "unknown defense '" + text + "'";
-    }
-    return std::nullopt;
-  }
-  spec.defense = *defense;
-
-  if (!GetStringField(json, "hw", &text, error)) {
-    return std::nullopt;
-  }
-  const auto hw = HwMitigationKindFromString(text);
-  if (!hw.has_value()) {
-    if (error != nullptr) {
-      *error = "unknown hw mitigation '" + text + "'";
-    }
-    return std::nullopt;
-  }
-  spec.hw = *hw;
-
-  if (!GetStringField(json, "attack", &text, error)) {
-    return std::nullopt;
-  }
-  const auto attack = AttackKindFromString(text);
-  if (!attack.has_value()) {
-    if (error != nullptr) {
-      *error = "unknown attack '" + text + "'";
-    }
-    return std::nullopt;
-  }
-  spec.attack = *attack;
-
-  if (!GetStringField(json, "alloc", &text, error)) {
-    return std::nullopt;
-  }
-  const auto alloc = DecodeByName(kAllocPolicies, text);
-  if (!alloc.has_value()) {
-    if (error != nullptr) {
-      *error = "unknown alloc policy '" + text + "'";
-    }
-    return std::nullopt;
-  }
-  spec.system.alloc = *alloc;
-
-  if (!GetStringField(json, "scheme", &text, error)) {
-    return std::nullopt;
-  }
-  const auto scheme = DecodeByName(kSchemes, text);
-  if (!scheme.has_value()) {
-    if (error != nullptr) {
-      *error = "unknown interleave scheme '" + text + "'";
-    }
-    return std::nullopt;
-  }
-  spec.system.mc.scheme = *scheme;
-
-  if (!GetStringField(json, "randomize_reset", &text, error)) {
-    return std::nullopt;
-  }
-  if (text == "default") {
-    spec.randomize_reset.reset();
-  } else if (text == "on") {
-    spec.randomize_reset = true;
-  } else if (text == "off") {
-    spec.randomize_reset = false;
-  } else {
-    if (error != nullptr) {
-      *error = "bad randomize_reset '" + text + "'";
-    }
-    return std::nullopt;
+  spec.system.dram = in.Named("dram", "dram profile", DramProfileByName);
+  spec.defense = in.Named("defense", "defense", DefenseKindFromString);
+  spec.hw = in.Named("hw", "hw mitigation", HwMitigationKindFromString);
+  spec.attack = in.Named("attack", "attack", AttackKindFromString);
+  spec.system.alloc = in.Named("alloc", "alloc policy", DecodeByName<kAllocPolicies>);
+  spec.system.mc.scheme = in.Named("scheme", "interleave scheme", DecodeByName<kSchemes>);
+  const std::string reset = in.Str("randomize_reset");
+  if (reset == "on" || reset == "off") {
+    spec.randomize_reset = reset == "on";
+  } else if (reset != "default") {
+    in.Fail("bad randomize_reset '" + reset + "'");
   }
 
   // Version gate: decode is strict (missing member = error), so specs
   // written before a version bump already fail; this check catches the
   // reverse direction (a future format read by an older binary).
-  if (!GetUintField(json, "spec_version", &value, error)) {
-    return std::nullopt;
-  }
-  if (value != kScenarioSpecVersion) {
-    if (error != nullptr) {
-      *error = "canonical spec version " + std::to_string(value) + " != supported " +
-               std::to_string(kScenarioSpecVersion);
-    }
-    return std::nullopt;
+  const uint64_t version = in.Uint("spec_version");
+  if (version != kScenarioSpecVersion) {
+    in.Fail("canonical spec version " + std::to_string(version) + " != supported " +
+            std::to_string(kScenarioSpecVersion));
   }
 
-  if (!GetUintField(json, "act_threshold", &spec.act_threshold, error) ||
-      !GetUintField(json, "cycles", &spec.run_cycles, error) ||
-      !GetUintField(json, "pages_per_tenant", &spec.pages_per_tenant, error) ||
-      !GetUintField(json, "pattern_seed", &spec.pattern_seed, error) ||
-      !GetUintField(json, "seed", &spec.seed, error)) {
-    return std::nullopt;
-  }
-  if (!GetStringField(json, "mix", &spec.traffic_mix, error) ||
-      !GetDoubleField(json, "churn", &spec.churn_rate, error)) {
-    return std::nullopt;
-  }
-  if (!GetUintField(json, "epochs", &value, error)) {
-    return std::nullopt;
-  }
-  spec.epochs = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "attacker_slot", &value, error)) {
-    return std::nullopt;
-  }
-  spec.attacker_slot = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "victim_slot", &value, error)) {
-    return std::nullopt;
-  }
-  spec.victim_slot = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "sides", &value, error)) {
-    return std::nullopt;
-  }
-  spec.sides = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "tenants", &value, error)) {
-    return std::nullopt;
-  }
-  spec.tenants = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "blast_radius", &value, error)) {
-    return std::nullopt;
-  }
-  spec.system.dram.disturbance.blast_radius = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "mac", &value, error)) {
-    return std::nullopt;
-  }
-  spec.system.dram.disturbance.mac = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "channels", &value, error)) {
-    return std::nullopt;
-  }
+  spec.act_threshold = in.Uint("act_threshold");
+  spec.run_cycles = in.Uint("cycles");
+  spec.pages_per_tenant = in.Uint("pages_per_tenant");
+  spec.pattern_seed = in.Uint("pattern_seed");
+  spec.seed = in.Uint("seed");
+  spec.traffic_mix = in.Str("mix");
+  spec.churn_rate = in.Double("churn");
+  spec.epochs = in.Uint32("epochs");
+  spec.attacker_slot = in.Uint32("attacker_slot");
+  spec.victim_slot = in.Uint32("victim_slot");
+  spec.sides = in.Uint32("sides");
+  spec.tenants = in.Uint32("tenants");
+  spec.system.dram.disturbance.blast_radius = in.Uint32("blast_radius");
+  spec.system.dram.disturbance.mac = in.Uint32("mac");
+  const uint64_t channels = in.Uint("channels");
   // The address mapper refuses any other count (it would abort later).
-  if (value > UINT32_MAX || !std::has_single_bit(value)) {
-    if (error != nullptr) {
-      *error = "bad channels " + std::to_string(value) + " (want a power of two)";
-    }
+  if (channels > UINT32_MAX || !std::has_single_bit(channels)) {
+    in.Fail("bad channels " + std::to_string(channels) + " (want a power of two)");
+  }
+  spec.system.dram.org.channels = static_cast<uint32_t>(channels);
+  spec.system.cores = in.Uint32("cores");
+  spec.system.guard_blast = in.Uint32("guard_blast");
+  spec.system.guard_domains = in.Uint32("guard_domains");
+  TrrParams& trr = spec.system.dram.trr;
+  const uint64_t trr_entries = in.Uint("trr_entries");
+  trr.enabled = trr_entries > 0;
+  if (trr.enabled) {
+    trr.table_entries = static_cast<uint32_t>(trr_entries);
+  }
+  const uint64_t trr_per_ref = in.Uint("trr_per_ref");
+  if (trr.enabled && trr_per_ref > 0) {
+    trr.refreshes_per_ref = static_cast<uint32_t>(trr_per_ref);
+  }
+  const double trr_sample = in.Double("trr_sample");
+  if (trr.enabled) {
+    trr.sample_probability = trr_sample;
+  }
+  spec.benign_corunner = in.Bool("benign_corunner");
+  spec.system.dram.ecc.enabled = in.Bool("ecc");
+  spec.system.mc.enforce_domain_groups = in.Bool("enforce_domain_groups");
+  spec.system.mc.open_page = in.Bool("open_page");
+  if (!in.ok()) {
     return std::nullopt;
   }
-  spec.system.dram.org.channels = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "cores", &value, error)) {
-    return std::nullopt;
-  }
-  spec.system.cores = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "guard_blast", &value, error)) {
-    return std::nullopt;
-  }
-  spec.system.guard_blast = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "guard_domains", &value, error)) {
-    return std::nullopt;
-  }
-  spec.system.guard_domains = static_cast<uint32_t>(value);
-  if (!GetUintField(json, "trr_entries", &value, error)) {
-    return std::nullopt;
-  }
-  spec.system.dram.trr.enabled = value > 0;
-  if (value > 0) {
-    spec.system.dram.trr.table_entries = static_cast<uint32_t>(value);
-  }
-  if (!GetUintField(json, "trr_per_ref", &value, error)) {
-    return std::nullopt;
-  }
-  if (spec.system.dram.trr.enabled && value > 0) {
-    spec.system.dram.trr.refreshes_per_ref = static_cast<uint32_t>(value);
-  }
-  double sample = 1.0;
-  if (!GetDoubleField(json, "trr_sample", &sample, error)) {
-    return std::nullopt;
-  }
-  if (spec.system.dram.trr.enabled) {
-    spec.system.dram.trr.sample_probability = sample;
-  }
-  if (!GetBoolField(json, "benign_corunner", &spec.benign_corunner, error) ||
-      !GetBoolField(json, "ecc", &flag, error)) {
-    return std::nullopt;
-  }
-  spec.system.dram.ecc.enabled = flag;
-  if (!GetBoolField(json, "enforce_domain_groups", &flag, error)) {
-    return std::nullopt;
-  }
-  spec.system.mc.enforce_domain_groups = flag;
-  if (!GetBoolField(json, "open_page", &flag, error)) {
-    return std::nullopt;
-  }
-  spec.system.mc.open_page = flag;
   return spec;
 }
 
@@ -373,12 +256,10 @@ std::string SweepKeyFromJson(const JsonValue& canonical_spec) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::ostringstream compact;
   sorted.Dump(compact, /*indent=*/-1);
-  const uint64_t hash = Fnv1a64(compact.str());
-  std::ostringstream hex;
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    hex << "0123456789abcdef"[(hash >> shift) & 0xF];
-  }
-  return hex.str();
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(compact.str())));
+  return hex;
 }
 
 std::string SweepKey(const ScenarioSpec& spec) {

@@ -7,11 +7,11 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <stop_token>
 #include <thread>
 #include <utility>
 
 #include "common/telemetry/profile.h"
-#include "common/thread_pool.h"
 
 namespace ht {
 namespace {
@@ -24,44 +24,40 @@ double SecondsSince(SteadyClock::time_point start) {
 
 // Periodic progress lines on stderr while the cell fan-out runs. One line
 // is printed immediately (so a sweep shorter than the period still shows
-// a heartbeat), then one per period until stopped. stderr keeps the
-// report stream on stdout clean.
+// a heartbeat), then one per period until stopped, then a final one.
+// stderr keeps the report stream on stdout clean.
 class Heartbeat {
  public:
   Heartbeat(const char* label, double period_seconds, uint64_t pending_cells,
             uint64_t cached_cells, const std::atomic<uint64_t>* done)
-      : label_(label), period_(period_seconds), pending_(pending_cells),
-        cached_(cached_cells), done_(done) {
-    if (period_ <= 0) {
+      : label_(label), pending_(pending_cells), cached_(cached_cells), done_(done) {
+    if (period_seconds <= 0) {
       return;
     }
     Print();
-    thread_ = std::thread([this] { Loop(); });
+    thread_ = std::jthread([this, period_seconds](std::stop_token stop) {
+      std::mutex mu;
+      std::condition_variable_any wake;
+      std::unique_lock<std::mutex> lock(mu);
+      const std::chrono::duration<double> period(period_seconds);
+      while (!wake.wait_for(lock, stop, period, [&stop] { return stop.stop_requested(); })) {
+        Print();
+      }
+    });
   }
 
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
+
   ~Heartbeat() {
-    if (!thread_.joinable()) {
-      return;
+    if (thread_.joinable()) {
+      thread_.request_stop();
+      thread_.join();
+      Print();
     }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    Print();  // Final line so the last state is always visible.
   }
 
  private:
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!cv_.wait_for(lock, std::chrono::duration<double>(period_), [this] { return stop_; })) {
-      lock.unlock();
-      Print();
-      lock.lock();
-    }
-  }
-
   void Print() const {
     const uint64_t done = done_->load(std::memory_order_relaxed);
     const double elapsed = SecondsSince(start_);
@@ -75,15 +71,11 @@ class Heartbeat {
   }
 
   const char* label_;
-  double period_;
   uint64_t pending_;
   uint64_t cached_;
   const std::atomic<uint64_t>* done_;
   SteadyClock::time_point start_ = SteadyClock::now();
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
+  std::jthread thread_;
 };
 
 // Normalize a canonical spec object's member order so cached and freshly
@@ -209,6 +201,11 @@ std::string FieldStr(const JsonValue& object, const char* name) {
                                                                            : std::string();
 }
 
+bool FieldBool(const JsonValue& object, const char* name) {
+  const JsonValue* member = object.Find(name);
+  return member != nullptr && member->type() == JsonValue::Type::kBool && member->as_bool();
+}
+
 SweepOutcome RunCells(const std::vector<SweepCellSpec>& all, const SweepOptions& options,
                       ReportBuilder make_report, const char* progress_label) {
   SweepOutcome outcome;
@@ -264,16 +261,17 @@ SweepOutcome RunCells(const std::vector<SweepCellSpec>& all, const SweepOptions&
     const SteadyClock::time_point execute_start = SteadyClock::now();
     Heartbeat heartbeat(progress_label, options.progress_every, pending.size(),
                         outcome.cached_cells, &cells_done);
-    ParallelFor(pending.size(),
-                pending.size() <= 1 ? 1u : ResolveThreadCount(options.threads),
-                [&](uint64_t i) {
-      ScenarioHooks hooks;
-      hooks.on_finish = [&stats, i](System& system) {
-        stats[i] = StatSetToJson(system.CollectStats());
-      };
-      results[i] = RunScenario(pending[i].spec, nullptr, &hooks);
-      cells_done.fetch_add(1, std::memory_order_relaxed);
-    });
+    RunScenarios(
+        pending.size(), [&](size_t i) { return pending[i].key; },
+        [&](size_t i, ScenarioTelemetry* telemetry) {
+          ScenarioHooks hooks;
+          hooks.on_finish = [&stats, i](System& system) {
+            stats[i] = StatSetToJson(system.CollectStats());
+          };
+          results[i] = RunScenario(pending[i].spec, telemetry, &hooks);
+          cells_done.fetch_add(1, std::memory_order_relaxed);
+        },
+        options.threads);
     outcome.execute_seconds = SecondsSince(execute_start);
   }
 

@@ -11,8 +11,11 @@
 #ifndef HAMMERTIME_SRC_SIM_SWEEP_SWEEP_H_
 #define HAMMERTIME_SRC_SIM_SWEEP_SWEEP_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/telemetry/json.h"
@@ -117,11 +120,29 @@ JsonValue MakeCellReport(const char* schema, uint64_t grid_cells, std::vector<Js
 // Builds a sweep report document from completed cells (sorted by key).
 JsonValue MakeSweepReport(uint64_t grid_cells, std::vector<JsonValue> cells);
 
+// The campaigns' named presets (structs with a `name` member): lookup by
+// name, and the ", "-joined names in registry order.
+template <typename Entry>
+std::optional<Entry> EntryByName(const std::vector<Entry>& entries, std::string_view name) {
+  const auto it = std::find_if(entries.begin(), entries.end(),
+                               [name](const Entry& entry) { return entry.name == name; });
+  return it == entries.end() ? std::nullopt : std::optional<Entry>(*it);
+}
+template <typename Entry>
+std::string EntryNames(const std::vector<Entry>& entries) {
+  std::string out;
+  for (const Entry& entry : entries) {
+    out += (out.empty() ? "" : ", ") + entry.name;
+  }
+  return out;
+}
+
 // Lenient readers for report cell members: a missing or mistyped member
 // reads as 0 / `fallback` / "".
 uint64_t FieldUint(const JsonValue& object, const char* name);
 double FieldDouble(const JsonValue& object, const char* name, double fallback = 0.0);
 std::string FieldStr(const JsonValue& object, const char* name);
+bool FieldBool(const JsonValue& object, const char* name);
 
 // Generic shard-report union by cell key: all inputs must pass
 // `validate`, agree on grid_cells, and agree on any key they share; the

@@ -7,8 +7,8 @@
 //    while the differential oracle (check/oracle.h) shadows every command
 //    with the naive reference models;
 //  * scenario cases build a full attack/defense System from the seed and
-//    run it four ways — {skip-idle, tick-by-tick} × {serial, inside
-//    ParallelFor} — each with a SystemOracle attached, then require all
+//    run it four ways — {skip-idle, tick-by-tick} × {serial, fanned out
+//    by RunScenarios} — each with a SystemOracle attached, then require all
 //    oracles clean, all ScenarioResults identical, and all CollectStats()
 //    StatSets equal;
 //  * pattern cases build a random HammeringPattern and cross-check the
@@ -38,7 +38,6 @@
 #include "check/generator.h"
 #include "check/oracle.h"
 #include "common/argparse.h"
-#include "common/thread_pool.h"
 #include "sim/runner/runner.h"
 
 using namespace ht;
@@ -253,12 +252,14 @@ struct ScenarioCaseOutcome {
 };
 
 ScenarioCaseOutcome RunScenarioCase(const FuzzCase& fuzz_case) {
-  // Serial pair, then the same pair inside ParallelFor — the scenario
+  // Serial pair, then the same pair fanned out by RunScenarios — the
   // runner's documented bit-identical contract under any worker count.
   VariantOutcome serial_skip = RunScenarioVariant(fuzz_case, /*skip_idle=*/true);
   VariantOutcome serial_tick = RunScenarioVariant(fuzz_case, /*skip_idle=*/false);
-  VariantOutcome parallel[2];
-  ParallelFor(2, 2, [&](uint64_t i) { parallel[i] = RunScenarioVariant(fuzz_case, i == 0); });
+  const std::vector<VariantOutcome> parallel = RunScenarios(
+      "fuzz", 2,
+      [&](size_t i, ScenarioTelemetry*) { return RunScenarioVariant(fuzz_case, i == 0); },
+      /*threads=*/2);
 
   std::ostringstream problems;
   const auto oracle_check = [&](const char* label, const VariantOutcome& v) {

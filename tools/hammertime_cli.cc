@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
   AddRunnerFlags(parser);
   AddTelemetryFlags(parser);
   if (!parser.Parse(argc, argv)) {
-    return Fail(parser.error());
+    std::fprintf(stderr, "error: %s\n", parser.error().c_str());  // Ends in "(try --help)".
+    return 2;
   }
   if (parser.help_requested()) {
     std::fputs(parser.Usage().c_str(), stdout);
