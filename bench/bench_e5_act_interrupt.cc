@@ -39,12 +39,9 @@ BenignOutcome RunBenign(uint64_t threshold, ScenarioTelemetry* telemetry) {
   return outcome;
 }
 
-void ThresholdSweep(unsigned threads) {
-  Table table("E5a. Interrupt threshold sweep (sw-refresh defense, double-sided attack + benign "
-              "4-core load)");
-  table.SetHeader({"threshold", "interrupts (attack)", "victim flips", "interrupts (benign only)",
-                   "benign ops/kcycle"});
-
+void Main(unsigned threads) {
+  // Part A's attack runs and part B's two runs share one batch: specs
+  // [0, thresholds) are A's, the last two B's (deterministic, randomized).
   const std::vector<uint64_t> thresholds = {128, 256, 512, 1024, 2048};
   std::vector<ScenarioSpec> specs;
   for (uint64_t threshold : thresholds) {
@@ -57,23 +54,6 @@ void ThresholdSweep(unsigned threads) {
     attack_spec.system.cores = 2;
     specs.push_back(attack_spec);
   }
-  const std::vector<ScenarioResult> attacks = RunScenarios(specs, threads);
-  const std::vector<BenignOutcome> benign = RunScenarios(
-      "e5a.benign", thresholds.size(),
-      [&](size_t i, ScenarioTelemetry* t) { return RunBenign(thresholds[i], t); }, threads);
-  for (size_t i = 0; i < thresholds.size(); ++i) {
-    table.AddRow({Table::Num(thresholds[i]), Table::Num(attacks[i].defense_interrupts),
-                  Table::Num(attacks[i].security.flip_events), Table::Num(benign[i].interrupts),
-                  Table::Fixed(benign[i].perf.ops_per_kcycle, 1)});
-  }
-  table.Print();
-}
-
-void ResetModes(unsigned threads) {
-  Table table("E5b. Adaptive (counter-synchronized) attacker vs. counter reset policy "
-              "(sw-refresh+REF_NEIGHBORS, threshold 512, 2M cycles)");
-  table.SetHeader({"reset policy", "cross-domain flips", "interrupts", "evasion works?"});
-  std::vector<ScenarioSpec> specs;
   for (const bool randomize : {false, true}) {
     ScenarioSpec spec;
     spec.defense = DefenseKind::kSwRefreshRefn;
@@ -84,9 +64,26 @@ void ResetModes(unsigned threads) {
     specs.push_back(spec);
   }
   const std::vector<ScenarioResult> results = RunScenarios(specs, threads);
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const bool randomize = *specs[i].randomize_reset;
-    const ScenarioResult& result = results[i];
+  const std::vector<BenignOutcome> benign = RunScenarios(
+      "e5a.benign", thresholds.size(),
+      [&](size_t i, ScenarioTelemetry* t) { return RunBenign(thresholds[i], t); }, threads);
+
+  Table sweep("E5a. Interrupt threshold sweep (sw-refresh defense, double-sided attack + benign "
+              "4-core load)");
+  sweep.SetHeader({"threshold", "interrupts (attack)", "victim flips", "interrupts (benign only)",
+                   "benign ops/kcycle"});
+  for (size_t i = 0; i < thresholds.size(); ++i) {
+    sweep.AddRow({Table::Num(thresholds[i]), Table::Num(results[i].defense_interrupts),
+                  Table::Num(results[i].security.flip_events), Table::Num(benign[i].interrupts),
+                  Table::Fixed(benign[i].perf.ops_per_kcycle, 1)});
+  }
+  sweep.Print();
+
+  Table table("E5b. Adaptive (counter-synchronized) attacker vs. counter reset policy "
+              "(sw-refresh+REF_NEIGHBORS, threshold 512, 2M cycles)");
+  table.SetHeader({"reset policy", "cross-domain flips", "interrupts", "evasion works?"});
+  for (const bool randomize : {false, true}) {
+    const ScenarioResult& result = results[thresholds.size() + (randomize ? 1 : 0)];
     table.AddRow({randomize ? "randomized (proposed)" : "deterministic (reset to 0)",
                   Table::Num(result.security.cross_domain_flips),
                   Table::Num(result.defense_interrupts),
@@ -102,8 +99,6 @@ void ResetModes(unsigned threads) {
 }  // namespace ht
 
 int main(int argc, char** argv) {
-  const unsigned threads = ht::BenchMain(argc, argv);
-  ht::ThresholdSweep(threads);
-  ht::ResetModes(threads);
+  ht::Main(ht::BenchMain(argc, argv));
   return 0;
 }

@@ -13,7 +13,7 @@ namespace ht {
 namespace {
 
 // One budget's table row; empty when the attacker found no plan.
-std::vector<std::string> RunBudgetRow(uint32_t ways, ScenarioTelemetry* telemetry) {
+std::vector<std::string> LockedWaysRow(uint32_t ways, ScenarioTelemetry* telemetry) {
   const Cycle kRun = RunBudget(1200000);
   SystemConfig config;
   config.cores = 2;
@@ -50,7 +50,7 @@ void Main(unsigned threads) {
   const std::vector<uint32_t> budgets = {0, 1, 2, 4};
   const auto rows = RunScenarios(
       "e9", budgets.size(),
-      [&](size_t i, ScenarioTelemetry* t) { return RunBudgetRow(budgets[i], t); }, threads);
+      [&](size_t i, ScenarioTelemetry* t) { return LockedWaysRow(budgets[i], t); }, threads);
   Table table("E9. Locked-way budget sweep (cache-lock defense, double-sided attack + benign "
               "co-runner, 1.2M cycles)");
   table.SetHeader({"max locked ways/set", "lines locked", "fallback migrations",

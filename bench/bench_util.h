@@ -1,5 +1,5 @@
 // Thin bench-only conveniences for the experiment benches (bench_e1..e13).
-// All scenario machinery (ScenarioSpec, RunScenario(s), jobs, telemetry
+// All scenario machinery (ScenarioSpec, RunScenario, RunScenarios, telemetry
 // plumbing) lives in the runner library — src/sim/runner/runner.h — which
 // every bench consumes through this header; here we only add the shared
 // bench-main entry glue, re-export ht::Table for rendering the

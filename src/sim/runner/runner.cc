@@ -238,6 +238,9 @@ void JobSystem::Report(JsonValue config, JsonValue result) {
 }
 
 void JobSystem::Report(Cycle run_cycles) {
+  if (telemetry_ == nullptr) {
+    return;
+  }
   JsonValue config = JsonValue::Object();
   config.Set("run_cycles", JsonValue::Uint(run_cycles));
   JsonValue result = JsonValue::Object();
@@ -400,7 +403,9 @@ ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry,
   result.throttle_stalls = system.mc().stats().Get("mc.throttle_stalls");
   result.mitigation_refreshes = system.mc().stats().Get("mc.mitigation_refreshes");
 
-  system.Report(ScenarioSpecToJson(spec), ScenarioResultToJson(result));
+  if (telemetry != nullptr) {
+    system.Report(ScenarioSpecToJson(spec), ScenarioResultToJson(result));
+  }
   if (hooks != nullptr && hooks->on_finish) {
     hooks->on_finish(system);
   }
