@@ -176,9 +176,9 @@ void Main(unsigned threads) {
             "tax, BlockHammer only charges blacklisted rows, and subarray isolation\n"
             "keeps the full interleaving throughput (the §4.1 argument).\n"
             "E7b caveat: BlockHammer's throttled requests sit in the shared queue\n"
-            "and backpressure the victim (head-of-line blocking, -20%); the real\n"
+            "and backpressure the victim (head-of-line blocking, -21%); the real\n"
             "design pairs the blacklist with per-source QoS the paper's software\n"
-            "alternatives do not need. cache-lock *improves* the co-runner (+5%):\n"
+            "alternatives do not need. cache-lock *improves* the co-runner (+4%):\n"
             "pinned hammer lines stop reaching DRAM at all.");
 }
 

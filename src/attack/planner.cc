@@ -15,24 +15,26 @@ struct BankKey {
 };
 
 // One representative line VA per (bank, row) owned by the domain: the
-// first line met, in page-table order. A page's lines repeat a few
-// (bank, row) pairs, so each pair is inserted once per page.
+// first line met walking its pages in VA order. A page's lines repeat a
+// few (bank, row) pairs, so each pair is inserted once per page.
 std::map<BankKey, std::map<uint32_t, VirtAddr>> GroupRows(HostKernel& kernel, DomainId domain) {
   std::map<BankKey, std::map<uint32_t, VirtAddr>> groups;
   const AddressMapper& mapper = kernel.mc().mapper();
   std::vector<DdrCoord> page_rows;  // The page's (bank, row) pairs, column 0.
   page_rows.reserve(kLinesPerPage);
-  for (const auto& [va_page, frame] : kernel.space(domain).pages()) {
+  const AddressSpace::Pages pages = kernel.space(domain).pages();
+  for (uint64_t p = 0; p < pages.frames.size(); ++p) {
+    const VirtAddr va_page = pages.base + p * kPageBytes;
     page_rows.clear();
     for (uint64_t l = 0; l < kLinesPerPage; ++l) {
-      DdrCoord coord = mapper.MapLine(frame * kLinesPerPage + l);
+      DdrCoord coord = mapper.MapLine(pages.frames[p] * kLinesPerPage + l);
       coord.column = 0;
       if (std::find(page_rows.begin(), page_rows.end(), coord) != page_rows.end()) {
         continue;
       }
       page_rows.push_back(coord);
       groups[{coord.channel, coord.rank, coord.bank}].try_emplace(
-          coord.row, va_page * kPageBytes + l * kLineBytes);
+          coord.row, va_page + l * kLineBytes);
     }
   }
   return groups;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -11,7 +12,7 @@ namespace ht {
 
 HostKernel::HostKernel(MemoryController* mc, FrameAllocator* allocator)
     : mc_(mc), allocator_(allocator) {
-  domains_.push_back({{}, AddressSpace(0), 0, false});  // Id 0 is never handed out.
+  domains_.push_back({{}, AddressSpace(0), false});  // Id 0 is never handed out.
 }
 
 const HostKernel::Domain& HostKernel::Live(DomainId domain) const {
@@ -23,7 +24,7 @@ const HostKernel::Domain& HostKernel::Live(DomainId domain) const {
 
 DomainId HostKernel::CreateDomain(const DomainSpec& spec) {
   const auto id = static_cast<DomainId>(domains_.size());
-  domains_.push_back({spec, AddressSpace(id), AddressSpace::BaseFor(id), true});
+  domains_.push_back({spec, AddressSpace(id), true});
   return id;
 }
 
@@ -32,17 +33,12 @@ void HostKernel::DestroyDomain(DomainId domain) {
     return;
   }
   Domain& entry = domains_[domain];
-  // pages() is an unordered_map; sort by VA page so FreeFrame ordering
-  // (and thus the free list the next tenant allocates from) is
-  // deterministic across platforms.
-  std::vector<std::pair<uint64_t, uint64_t>> pages(entry.space.pages().begin(),
-                                                   entry.space.pages().end());
-  std::sort(pages.begin(), pages.end());
-  for (const auto& [va_page, frame] : pages) {
-    frame_va_.erase(frame);
+  const std::span<const uint64_t> frames = entry.space.pages().frames;
+  for (uint64_t frame : frames) {
+    frame_va_[frame] = 0;
     allocator_->FreeFrame(domain, frame);
   }
-  stats_.Add("kernel.pages_freed", pages.size());
+  stats_.Add("kernel.pages_freed", frames.size());
   stats_.Add("kernel.domains_destroyed");
   filled_regions_.erase(std::remove_if(filled_regions_.begin(), filled_regions_.end(),
                                        [domain](const Region& r) { return r.domain == domain; }),
@@ -55,7 +51,7 @@ void HostKernel::DestroyDomain(DomainId domain) {
 
 std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages) {
   Domain& entry = Live(domain);
-  const VirtAddr base = entry.next_va;
+  const VirtAddr base = entry.space.end_va();
   std::vector<uint64_t> frames;
   frames.reserve(pages);
   for (uint64_t i = 0; i < pages; ++i) {
@@ -71,9 +67,8 @@ std::optional<VirtAddr> HostKernel::AllocRegion(DomainId domain, uint64_t pages)
   }
   for (uint64_t i = 0; i < pages; ++i) {
     entry.space.MapPage(base + i * kPageBytes, frames[i]);
-    frame_va_[frames[i]] = {domain, base + i * kPageBytes};
+    SetFrameVa(frames[i], base + i * kPageBytes);
   }
-  entry.next_va = base + pages * kPageBytes;
   stats_.Add("kernel.pages_allocated", pages);
 
   // §4.1 coordination: tell the MC which subarray group this domain uses
@@ -98,9 +93,14 @@ std::function<std::optional<PhysAddr>(VirtAddr)> HostKernel::MuxTranslator() {
   };
 }
 
-DomainId HostKernel::OwnerOfFrame(uint64_t frame) const {
-  auto it = frame_va_.find(frame);
-  return it == frame_va_.end() ? kInvalidDomain : it->second.first;
+void HostKernel::SetFrameVa(uint64_t frame, VirtAddr va_page) {
+  frame_va_.resize(std::max<size_t>(frame_va_.size(), frame + 1));
+  frame_va_[frame] = va_page;
+}
+
+DomainId HostKernel::OwnerOfPhys(PhysAddr addr) const {
+  const auto located = LocatePhys(addr);
+  return located.has_value() ? located->first : kInvalidDomain;
 }
 
 uint64_t HostKernel::PatternValue(DomainId domain, VirtAddr va_line) {
@@ -216,55 +216,48 @@ bool HostKernel::MovePage(DomainId domain, VirtAddr va_page) {
   return true;
 }
 
-bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new_frame_value) {
+bool HostKernel::MovePageToFrame(DomainId domain, VirtAddr va_page, uint64_t new_frame) {
   AddressSpace& domain_space = Live(domain).space;
   const VirtAddr base = va_page / kPageBytes * kPageBytes;
   const auto old_frame = domain_space.FrameOf(base);
   if (!old_frame.has_value()) {
     return false;
   }
-  const std::optional<uint64_t> new_frame = new_frame_value;
   // Copy line by line (the proposed uncore move, §4.2). Corrupted data is
   // copied verbatim: migration does not launder flips.
   for (uint64_t l = 0; l < kLinesPerPage; ++l) {
     const PhysAddr src = *old_frame * kPageBytes + l * kLineBytes;
-    const PhysAddr dst = *new_frame * kPageBytes + l * kLineBytes;
+    const PhysAddr dst = new_frame * kPageBytes + l * kLineBytes;
     WriteLineToDram(dst, ReadLineFromDram(src));
   }
-  domain_space.MapPage(base, *new_frame);
+  domain_space.MapPage(base, new_frame);
   ++map_generation_;
-  frame_va_[*new_frame] = {domain, base};
-  frame_va_.erase(*old_frame);
+  SetFrameVa(new_frame, base);
+  frame_va_[*old_frame] = 0;
   allocator_->FreeFrame(domain, *old_frame);
   ++page_moves_;
   stats_.Add("kernel.page_moves");
   HT_TRACE(trace_, trace_clock_ != nullptr ? *trace_clock_ : 0, TraceKind::kPageMove, 0, 0, 0,
-           static_cast<uint32_t>(domain), *new_frame);
+           static_cast<uint32_t>(domain), new_frame);
   return true;
 }
 
 std::optional<std::pair<DomainId, VirtAddr>> HostKernel::LocatePhys(PhysAddr addr) const {
-  auto it = frame_va_.find(addr / kPageBytes);
-  if (it == frame_va_.end()) {
+  const uint64_t frame = addr / kPageBytes;
+  if (frame >= frame_va_.size() || frame_va_[frame] == 0) {
     return std::nullopt;
   }
-  return it->second;
+  return std::pair{DomainOfVa(frame_va_[frame]), frame_va_[frame]};
 }
 
 bool HostKernel::MovePageByPhys(PhysAddr addr) {
-  auto located = LocatePhys(addr);
-  if (!located.has_value()) {
-    return false;
-  }
-  return MovePage(located->first, located->second);
+  const auto located = LocatePhys(addr);
+  return located.has_value() && MovePage(located->first, located->second);
 }
 
 bool HostKernel::MovePageByPhysToFrame(PhysAddr addr, uint64_t new_frame) {
-  auto located = LocatePhys(addr);
-  if (!located.has_value()) {
-    return false;
-  }
-  return MovePageToFrame(located->first, located->second, new_frame);
+  const auto located = LocatePhys(addr);
+  return located.has_value() && MovePageToFrame(located->first, located->second, new_frame);
 }
 
 std::vector<DomainId> HostKernel::RowOwners(uint32_t channel, uint32_t rank, uint32_t bank,

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,9 +59,9 @@ class HostKernel {
     return domain < domains_.size() && domains_[domain].live;
   }
 
-  // Tears down a domain: unmaps every page (VA order, so the allocator's
-  // free list sees a deterministic release sequence), returns frames to
-  // the pool, and drops the domain's fill records from verification.
+  // Tears down a domain: unmaps every page in VA order (the allocator's
+  // free list sees that release sequence), returns frames to the pool,
+  // and drops the domain's fill records from verification.
   // Domain IDs are never reused; freed frames are.
   void DestroyDomain(DomainId domain);
 
@@ -100,8 +99,7 @@ class HostKernel {
   // stats() so reports do not change.
   uint64_t page_table_lookups() const { return page_table_lookups_; }
 
-  DomainId OwnerOfFrame(uint64_t frame) const;
-  DomainId OwnerOfPhys(PhysAddr addr) const { return OwnerOfFrame(addr / kPageBytes); }
+  DomainId OwnerOfPhys(PhysAddr addr) const;
 
   // --- Golden data ----------------------------------------------------------
 
@@ -183,11 +181,10 @@ class HostKernel {
   // One slot per DomainId ever created, indexed by the id. Ids are
   // sequential from 1 and never reused, so slot 0 never goes live and the
   // next id is the table size. A destroyed domain's slot stays, not live
-  // and with an empty address space.
+  // and with an empty address space. AllocRegion bumps space.end_va().
   struct Domain {
     DomainSpec spec;
     AddressSpace space;
-    VirtAddr next_va = 0;  // Where the next AllocRegion starts.
     bool live = false;
   };
 
@@ -230,14 +227,17 @@ class HostKernel {
     return const_cast<Domain&>(std::as_const(*this).Live(domain));
   }
 
+  void SetFrameVa(uint64_t frame, VirtAddr va_page);
   void WriteLineToDram(PhysAddr pa, uint64_t value);
   uint64_t ReadLineFromDram(PhysAddr pa) const;
 
   MemoryController* mc_;
   FrameAllocator* allocator_;
   std::vector<Domain> domains_;
-  // Mapped frame -> (owner, VA page): the reverse page table.
-  std::unordered_map<uint64_t, std::pair<DomainId, VirtAddr>> frame_va_;
+  // The reverse page table: frame -> VA page, 0 if unmapped (VAs are >=
+  // 1 << 36), owner = DomainOfVa. It grows to the highest frame mapped, so
+  // a run on low frames does not pay 8 B for every frame of DRAM.
+  std::vector<VirtAddr> frame_va_;
   std::vector<Region> filled_regions_;
   uint64_t page_moves_ = 0;
   uint64_t map_generation_ = 0;  // Bumped when a mapping changes or goes.

@@ -280,10 +280,7 @@ void TenantManager::FlushSlotLines(uint32_t slot) {
   // teardown, so a reused frame never receives the dead tenant's
   // writebacks from resident lines. (In-flight fills can still deposit a
   // stale line; those land in corruption totals, never flip accounting.)
-  const AddressSpace& space = kernel_->space(entry.domain);
-  std::vector<std::pair<uint64_t, uint64_t>> pages(space.pages().begin(), space.pages().end());
-  std::sort(pages.begin(), pages.end());
-  for (const auto& [va_page, frame] : pages) {
+  for (uint64_t frame : kernel_->space(entry.domain).pages().frames) {
     for (uint64_t line = 0; line < kLinesPerPage; ++line) {
       llc_->Flush(frame * kPageBytes + line * kLineBytes, /*privileged=*/true);
     }
@@ -420,12 +417,10 @@ uint64_t TenantManager::PageMapFingerprint() const {
       hash = FnvMix(hash, ~uint64_t{0});
       continue;
     }
-    const AddressSpace& space = kernel_->space(entry.domain);
-    std::vector<std::pair<uint64_t, uint64_t>> pages(space.pages().begin(),
-                                                     space.pages().end());
-    std::sort(pages.begin(), pages.end());
-    for (const auto& [va_page, frame] : pages) {
-      hash = FnvMix(hash, va_page);
+    const AddressSpace::Pages pages = kernel_->space(entry.domain).pages();
+    uint64_t va_page = pages.base / kPageBytes;
+    for (uint64_t frame : pages.frames) {
+      hash = FnvMix(hash, va_page++);
       hash = FnvMix(hash, frame);
     }
   }

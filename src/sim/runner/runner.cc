@@ -17,6 +17,7 @@
 #include "common/telemetry/report.h"
 #include "common/thread_pool.h"
 #include "os/address_space.h"
+#include "sim/sweep/speckey.h"
 #include "sim/workloads.h"
 
 namespace ht {
@@ -76,30 +77,6 @@ SystemConfig WithTelemetry(SystemConfig config, const ScenarioTelemetry* telemet
 }  // namespace
 
 void ResetRunnerTelemetry() { TelemetryState() = RunnerTelemetryState(); }
-
-JsonValue ScenarioSpecToJson(const ScenarioSpec& spec) {
-  JsonValue config = JsonValue::Object();
-  config.Set("defense", JsonValue::Str(ToString(spec.defense)));
-  config.Set("hw_mitigation", JsonValue::Str(ToString(spec.hw)));
-  config.Set("attack", JsonValue::Str(ToString(spec.attack)));
-  config.Set("alloc", JsonValue::Str(ToString(spec.system.alloc)));
-  config.Set("sides", JsonValue::Uint(spec.sides));
-  config.Set("pattern_seed", JsonValue::Uint(spec.pattern_seed));
-  config.Set("act_threshold", JsonValue::Uint(spec.act_threshold));
-  config.Set("run_cycles", JsonValue::Uint(RunBudget(spec.run_cycles)));
-  config.Set("tenants", JsonValue::Uint(spec.tenants));
-  config.Set("pages_per_tenant", JsonValue::Uint(spec.pages_per_tenant));
-  config.Set("benign_corunner", JsonValue::Bool(spec.benign_corunner));
-  config.Set("traffic_mix", JsonValue::Str(spec.traffic_mix));
-  config.Set("churn_rate", JsonValue::Double(spec.churn_rate));
-  config.Set("epochs", JsonValue::Uint(spec.epochs));
-  config.Set("attacker_slot", JsonValue::Uint(spec.attacker_slot));
-  config.Set("victim_slot", JsonValue::Uint(spec.victim_slot));
-  config.Set("skip_idle", JsonValue::Bool(spec.system.skip_idle));
-  config.Set("channels", JsonValue::Uint(spec.system.dram.org.channels));
-  config.Set("cores", JsonValue::Uint(spec.system.cores));
-  return config;
-}
 
 JsonValue ScenarioResultToJson(const ScenarioResult& result) {
   JsonValue out = JsonValue::Object();
@@ -251,6 +228,8 @@ void JobSystem::Report(Cycle run_cycles) {
 ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry,
                            const ScenarioHooks* hooks) {
   ProfilePhase total_phase("runner.scenario");
+  // The spec as asked for, before the preset and the smoke cap below.
+  JsonValue config = telemetry != nullptr ? SpecCanonicalJson(spec) : JsonValue();
   ApplyDefensePreset(spec.system, spec.defense, spec.act_threshold);
   spec.run_cycles = RunBudget(spec.run_cycles);
   if (spec.randomize_reset.has_value()) {
@@ -404,7 +383,7 @@ ScenarioResult RunScenario(ScenarioSpec spec, ScenarioTelemetry* telemetry,
   result.mitigation_refreshes = system.mc().stats().Get("mc.mitigation_refreshes");
 
   if (telemetry != nullptr) {
-    system.Report(ScenarioSpecToJson(spec), ScenarioResultToJson(result));
+    system.Report(std::move(config), ScenarioResultToJson(result));
   }
   if (hooks != nullptr && hooks->on_finish) {
     hooks->on_finish(system);

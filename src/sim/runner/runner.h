@@ -133,10 +133,6 @@ class JobSystem : public System {
   ScenarioTelemetry* telemetry_;
 };
 
-// Flattens the interesting ScenarioSpec knobs into a config object for
-// the run report.
-JsonValue ScenarioSpecToJson(const ScenarioSpec& spec);
-
 JsonValue ScenarioResultToJson(const ScenarioResult& result);
 
 // Optional observation points inside RunScenario, for callers that need

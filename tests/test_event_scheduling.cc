@@ -146,12 +146,12 @@ void ExpectVariantsMatch(Hw hw, bool per_bank_refresh, bool ref_neighbors, Cycle
 
 TEST(EventScheduling, MatchesLegacyOnHammerPlusStream) {
   ExpectVariantsMatch(Hw::kNone, false, false, 400000,
-                      {.refs = 127, .table_probes = 113679, .ops = 39477});
+                      {.refs = 127, .table_probes = 113520, .ops = 39499});
 }
 
 TEST(EventScheduling, MatchesLegacyUnderBlockHammerThrottle) {
   ExpectVariantsMatch(Hw::kBlockHammer, false, false, 450000,
-                      {.refs = 143, .table_probes = 153191, .ops = 44127});
+                      {.refs = 143, .table_probes = 152152, .ops = 44123});
 }
 
 TEST(EventScheduling, MatchesLegacyUnderGrapheneWithPerBankRefresh) {
@@ -159,16 +159,16 @@ TEST(EventScheduling, MatchesLegacyUnderGrapheneWithPerBankRefresh) {
                       {.refs_sb = 1144,
                        .refresh_instr_acts = 12,
                        .mitigation_refreshes = 4,
-                       .table_probes = 184624,
-                       .ops = 49014});
+                       .table_probes = 185278,
+                       .ops = 49073});
 }
 
 TEST(EventScheduling, MatchesLegacyUnderGrapheneWithRefNeighbors) {
   ExpectVariantsMatch(Hw::kGraphene, false, true, 450000,
                       {.refs = 143,
                        .mitigation_refreshes = 4,
-                       .table_probes = 164829,
-                       .ops = 44022});
+                       .table_probes = 165035,
+                       .ops = 44057});
 }
 
 struct ThrottledDmaRun {

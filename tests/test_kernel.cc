@@ -329,7 +329,6 @@ struct DomainModel {
   std::map<DomainId, VirtAddr> next_va;
   std::map<uint64_t, std::pair<DomainId, VirtAddr>> frames;
   std::set<DomainId> destroyed;
-  std::set<uint64_t> freed;
   LinearAllocator alloc;
 };
 
@@ -359,18 +358,39 @@ void ExpectDomainMatches(const HostKernel& kernel, const DomainModel& model, Dom
   }
 }
 
-void ExpectFramesMatch(const HostKernel& kernel, const DomainModel& model) {
-  for (const auto& [frame, owner] : model.frames) {
-    const PhysAddr pa = frame * kPageBytes + 200;
-    EXPECT_EQ(kernel.OwnerOfPhys(pa), owner.first) << "frame " << frame;
-    EXPECT_EQ(kernel.LocatePhys(pa), std::optional(owner)) << "frame " << frame;
-  }
-  for (uint64_t frame : model.freed) {
-    if (!model.frames.contains(frame)) {
-      EXPECT_EQ(kernel.OwnerOfPhys(frame * kPageBytes), kInvalidDomain) << "frame " << frame;
-      EXPECT_FALSE(kernel.LocatePhys(frame * kPageBytes).has_value()) << "frame " << frame;
+// Every live domain's pages() walk, element by element: page i of the
+// walk is the model's i-th VA page, mapped to the same frame.
+void ExpectPagesMatch(const HostKernel& kernel, const DomainModel& model) {
+  for (const auto& [id, model_pages] : model.pages) {
+    const AddressSpace::Pages pages = kernel.space(id).pages();
+    ASSERT_EQ(pages.base, AddressSpace::BaseFor(id));
+    ASSERT_EQ(pages.frames.size(), model_pages.size()) << "domain " << id;
+    auto expected = model_pages.begin();
+    for (size_t i = 0; i < pages.frames.size(); ++i, ++expected) {
+      ASSERT_EQ(pages.base + i * kPageBytes, expected->first) << "domain " << id << " page " << i;
+      ASSERT_EQ(pages.frames[i], expected->second) << "domain " << id << " page " << i;
     }
   }
+}
+
+// Owner and reverse lookup of every frame, one past the last included.
+void ExpectFramesMatch(const HostKernel& kernel, const DomainModel& model,
+                       uint64_t total_frames) {
+  auto mapped = model.frames.begin();
+  for (uint64_t frame = 0; frame <= total_frames; ++frame) {
+    std::optional<std::pair<DomainId, VirtAddr>> expected;
+    if (mapped != model.frames.end() && mapped->first == frame) {
+      expected = mapped->second;
+      ++mapped;
+    }
+    const PhysAddr pa = frame * kPageBytes + 200;
+    if (kernel.OwnerOfPhys(pa) != (expected ? expected->first : kInvalidDomain) ||
+        kernel.LocatePhys(pa) != expected) {
+      ADD_FAILURE() << "frame " << frame;
+      return;
+    }
+  }
+  EXPECT_EQ(mapped, model.frames.end());
 }
 
 TEST_F(KernelTest, DomainTableMatchesMapModelUnderChurn) {
@@ -446,7 +466,6 @@ TEST_F(KernelTest, DomainTableMatchesMapModelUnderChurn) {
         model.alloc.FreeFrame(d, old_frame);
         model.frames.erase(old_frame);
         model.frames[page->second] = {d, page->first};
-        model.freed.insert(old_frame);
       }
     } else {
       // Destroy a random live domain.
@@ -456,7 +475,6 @@ TEST_F(KernelTest, DomainTableMatchesMapModelUnderChurn) {
       for (const auto& [va_page, frame] : model.pages[d]) {
         model.alloc.FreeFrame(d, frame);
         model.frames.erase(frame);
-        model.freed.insert(frame);
       }
       model.pages.erase(d);
       model.next_va.erase(d);
@@ -466,11 +484,12 @@ TEST_F(KernelTest, DomainTableMatchesMapModelUnderChurn) {
     }
     ExpectDomainMatches(kernel_, model, touched);
     probe_misses(created);
+    ExpectPagesMatch(kernel_, model);
+    ExpectFramesMatch(kernel_, model, alloc_.total_frames());
     if (step % 512 == 0) {
       for (DomainId id = 0; id <= created + 1; ++id) {
         ExpectDomainMatches(kernel_, model, id);
       }
-      ExpectFramesMatch(kernel_, model);
     }
   }
   EXPECT_GE(created, 2000u);
@@ -478,7 +497,6 @@ TEST_F(KernelTest, DomainTableMatchesMapModelUnderChurn) {
   for (DomainId id = 0; id <= created + 1; ++id) {
     ExpectDomainMatches(kernel_, model, id);
   }
-  ExpectFramesMatch(kernel_, model);
   // Destroying again, or an id never handed out, is a no-op.
   kernel_.DestroyDomain(*model.destroyed.begin());
   kernel_.DestroyDomain(created + 1);

@@ -56,6 +56,27 @@ TEST(SpecKey, CanonicalJsonRoundTrips) {
   EXPECT_EQ(SweepKey(*decoded), SweepKey(spec));
 }
 
+// A run report names its spec the way a sweep cell does: its `config`
+// is the canonical spec, and the cycles that ran are the result's.
+TEST(SpecKey, RunReportConfigIsCanonicalSpec) {
+  ScenarioSpec spec;
+  spec.defense = DefenseKind::kSwRefresh;
+  spec.attack = AttackKind::kDoubleSided;
+  spec.act_threshold = 128;
+  spec.run_cycles = 2000;
+  spec.pages_per_tenant = 32;
+  ScenarioTelemetry telemetry;
+  telemetry.label = "config";
+  const ScenarioResult result = RunScenario(spec, &telemetry);
+  const JsonValue* config = telemetry.report.Find("config");
+  ASSERT_NE(config, nullptr);
+  std::string error;
+  const std::optional<ScenarioSpec> decoded = SpecFromCanonicalJson(*config, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(SweepKey(*decoded), SweepKey(spec));
+  EXPECT_EQ(telemetry.report.Find("result")->Find("cycles")->as_uint(), result.perf.cycles);
+}
+
 TEST(SpecKey, KeyIgnoresMemberOrder) {
   const JsonValue canonical = SpecCanonicalJson(ScenarioSpec{});
   JsonValue reversed = canonical;
