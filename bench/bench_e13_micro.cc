@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -454,7 +455,14 @@ int main(int argc, char** argv) {
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-      repeats = std::max(1, std::atoi(argv[i] + 10));
+      uint64_t parsed = 0;
+      if (!ht::ParseUintToken(argv[i] + 10, &parsed) || parsed == 0 ||
+          parsed > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "%s: error: bad --repeats %s (want a whole number >= 1)\n",
+                     argv[0], argv[i] + 10);
+        return 2;
+      }
+      repeats = static_cast<int>(parsed);
     } else {
       argv[kept++] = argv[i];
     }

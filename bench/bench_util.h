@@ -21,9 +21,9 @@ namespace ht {
 // Parses the shared runner flags (--threads, --profile) and the telemetry
 // flags (--trace-out, --metrics-out, --sample-every) for a bench main,
 // installs the process-wide telemetry options (exiting 2 at once when an
-// output path cannot be opened), and returns the requested worker count
-// (0 = auto). A malformed command line exits 2; --help prints the usage
-// and exits 0.
+// output path cannot be opened or HT_THREADS is malformed), and returns
+// the resolved worker count. A malformed command line exits 2; --help
+// prints the usage and exits 0.
 inline unsigned BenchMain(int argc, char** argv) {
   ArgParser parser(argv[0], "hammertime experiment bench");
   AddRunnerFlags(parser);

@@ -34,6 +34,11 @@ ArgParser& ArgParser::AllowPositionals(std::string name_help) {
   return *this;
 }
 
+ArgParser& ArgParser::Epilog(std::string text) {
+  epilog_ = std::move(text);
+  return *this;
+}
+
 ArgParser::Spec* ArgParser::FindSpec(std::string_view name) {
   return const_cast<Spec*>(std::as_const(*this).FindSpec(name));
 }
@@ -131,6 +136,9 @@ std::string ArgParser::Usage() const {
       out << " (default " << spec.default_value << ")";
     }
     out << "\n";
+  }
+  if (!epilog_.empty()) {
+    out << "\n" << epilog_;
   }
   return out.str();
 }

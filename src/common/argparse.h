@@ -28,6 +28,8 @@ class ArgParser {
                     std::string default_value = "");
   // Accept bare (non-flag) arguments; they land in positionals().
   ArgParser& AllowPositionals(std::string name_help);
+  // Free text that Usage() prints after the flag list.
+  ArgParser& Epilog(std::string text);
 
   // Returns false on a malformed command line (see error(), which ends in
   // "(try --help)"). A lone `--help` parses successfully with
@@ -83,6 +85,7 @@ class ArgParser {
   std::string program_;
   std::string description_;
   std::string positional_help_;
+  std::string epilog_;
   std::vector<Spec> specs_;
   std::vector<std::string> positionals_;
   std::string error_;

@@ -595,23 +595,30 @@ std::optional<JsonValue> ReadTelemetryDocument(const std::string& path, std::str
   if (!bytes.has_value()) {
     return std::nullopt;
   }
-  if (SniffHtbPayload(*bytes).has_value()) {
-    std::string decode_error;
-    std::optional<JsonValue> doc = DecodeJsonBinary(*bytes, &decode_error);
-    if (!doc.has_value() && error != nullptr) {
-      *error = path + ": " + decode_error;
-    }
-    return doc;
-  }
   std::string parse_error;
-  std::optional<JsonValue> doc = JsonValue::Parse(*bytes, &parse_error);
+  std::optional<JsonValue> doc;
+  const std::optional<HtbPayload> payload = SniffHtbPayload(*bytes);
+  if (payload == HtbPayload::kTrace) {
+    // Rendered through the canonical Chrome-trace writer, so a .htb trace
+    // reads as exactly the document its JSON twin parses to.
+    if (auto buffers = DecodeTraceBinary(*bytes, &parse_error)) {
+      std::ostringstream chrome;
+      WriteChromeTrace(*buffers, chrome);
+      doc = JsonValue::Parse(chrome.str(), &parse_error);
+    }
+  } else if (payload.has_value()) {
+    doc = DecodeJsonBinary(*bytes, &parse_error);
+  } else {
+    doc = JsonValue::Parse(*bytes, &parse_error);
+  }
   if (!doc.has_value() && error != nullptr) {
     *error = path + ": " + parse_error;
   }
   return doc;
 }
 
-bool WriteTraceOutput(const std::string& path, const TraceSink& sink, std::string* error) {
+bool WriteTraceOutput(const std::string& path, const std::vector<TraceBufferSnapshot>& buffers,
+                      std::string* error) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     if (error != nullptr) {
@@ -620,10 +627,10 @@ bool WriteTraceOutput(const std::string& path, const TraceSink& sink, std::strin
     return false;
   }
   if (IsBinaryTelemetryPath(path)) {
-    const std::string encoded = EncodeTraceBinary(sink.SnapshotBuffers());
+    const std::string encoded = EncodeTraceBinary(buffers);
     out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
   } else {
-    sink.WriteChromeTrace(out);
+    WriteChromeTrace(buffers, out);
   }
   out.flush();
   if (!out) {

@@ -15,8 +15,8 @@
 //
 //   * kTrace — the retained events of every TraceBuffer in a sink,
 //     cycle-delta coded per buffer, with capacity/emitted preserved so
-//     drop counts survive. Decoding yields TraceBufferSnapshots that
-//     WriteChromeTrace renders byte-identically to a live sink.
+//     drop counts survive. Decoding yields the TraceBufferSnapshots the
+//     live sink held, so WriteChromeTrace renders them byte-identically.
 //
 // Layout: "HTB1" magic, one payload-kind byte, then the payload. All
 // integers are LEB128 varints (zigzag for signed); doubles are 8-byte
@@ -70,14 +70,18 @@ std::optional<std::vector<TraceBufferSnapshot>> DecodeTraceBinary(std::string_vi
 bool WriteTelemetryDocument(const std::string& path, const JsonValue& doc,
                             std::string* error = nullptr);
 
-// Reads a document back, dispatching on content (magic sniff) first and
-// extension second, so a `.htb` passed to a JSON consumer still decodes.
+// The one telemetry file reader. It dispatches on content (magic sniff),
+// not extension, so a `.htb` passed to a JSON consumer still decodes: a
+// kJson payload yields the original document, a kTrace payload the
+// Chrome trace_event document its JSON twin holds, and anything else is
+// parsed as JSON text.
 std::optional<JsonValue> ReadTelemetryDocument(const std::string& path,
                                                std::string* error = nullptr);
 
-// Writes a sink's merged trace to `path`: binary for `.htb`, Chrome
+// The one trace file writer: `buffers` (a sink's SnapshotBuffers(), or a
+// decoded .htb trace) go to `path` as binary for `.htb`, Chrome
 // trace_event JSON otherwise.
-bool WriteTraceOutput(const std::string& path, const TraceSink& sink,
+bool WriteTraceOutput(const std::string& path, const std::vector<TraceBufferSnapshot>& buffers,
                       std::string* error = nullptr);
 
 // Whole-file read; nullopt with `error` set on failure.

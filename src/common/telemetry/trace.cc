@@ -169,10 +169,6 @@ std::vector<TraceBufferSnapshot> TraceSink::SnapshotBuffers() const {
   return out;
 }
 
-void TraceSink::WriteChromeTrace(std::ostream& out) const {
-  ht::WriteChromeTrace(SnapshotBuffers(), out);
-}
-
 void WriteChromeTrace(const std::vector<TraceBufferSnapshot>& buffers, std::ostream& out) {
   out << "{\"traceEvents\":[";
   bool first = true;

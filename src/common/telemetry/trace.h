@@ -130,12 +130,9 @@ class TraceSink {
   size_t buffer_count() const;
   uint64_t total_emitted() const;
 
-  // Per-buffer snapshots in creation order.
+  // Per-buffer snapshots in creation order (what WriteTraceOutput and
+  // WriteChromeTrace take).
   std::vector<TraceBufferSnapshot> SnapshotBuffers() const;
-
-  // Chrome trace_event JSON ("traceEvents" array + track-name metadata).
-  // `ts` is the simulated cycle; pid/tid encode channel and rank/bank.
-  void WriteChromeTrace(std::ostream& out) const;
 
  private:
   mutable std::mutex mu_;
@@ -143,9 +140,9 @@ class TraceSink {
   std::vector<std::unique_ptr<TraceBuffer>> buffers_;
 };
 
-// Chrome trace_event JSON from decoded snapshots; TraceSink::WriteChromeTrace
-// routes through this, so a binary-decoded trace serializes byte-identically
-// to the live sink's output.
+// Chrome trace_event JSON ("traceEvents" array + track-name metadata) from
+// a sink's snapshots or a decoded .htb trace, which serialize alike. `ts`
+// is the simulated cycle; pid/tid encode channel and rank/bank.
 void WriteChromeTrace(const std::vector<TraceBufferSnapshot>& buffers, std::ostream& out);
 
 }  // namespace ht

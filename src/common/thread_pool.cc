@@ -2,21 +2,31 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 
+#include "common/argparse.h"
 #include "common/telemetry/profile.h"
 
 namespace ht {
 
 unsigned ResolveThreadCount(unsigned requested) {
+  // Checked even when `requested` wins: the shared pool is sized from the
+  // variable, so a bad value must stop the process before any work runs.
+  // Empty reads as 0, like an empty flag value.
+  uint64_t from_env = 0;
+  if (const char* env = std::getenv("HT_THREADS"); env != nullptr && *env != '\0') {
+    if (!ParseUintToken(env, &from_env) || from_env > std::numeric_limits<unsigned>::max()) {
+      std::fprintf(stderr, "error: bad HT_THREADS %s (want a whole number of threads)\n", env);
+      std::exit(2);
+    }
+  }
   if (requested != 0) {
     return requested;
   }
-  if (const char* env = std::getenv("HT_THREADS"); env != nullptr) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) {
-      return static_cast<unsigned>(parsed);
-    }
+  if (from_env != 0) {
+    return static_cast<unsigned>(from_env);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -16,8 +16,11 @@
 
 namespace ht {
 
-// Worker count resolution: explicit `requested` wins if nonzero, then the
-// HT_THREADS environment variable, then the hardware concurrency.
+// Worker count resolution: explicit `requested` wins if nonzero, then a
+// nonzero HT_THREADS environment variable, then the hardware concurrency.
+// An HT_THREADS that is not a whole number (ParseUintToken) ends the
+// process with exit status 2 and an `error: bad HT_THREADS` line, even
+// when `requested` is nonzero.
 unsigned ResolveThreadCount(unsigned requested = 0);
 
 // Pool-level telemetry, exported by the profiler as the pool.* gauges in

@@ -1,7 +1,5 @@
 #include "cpu/core.h"
 
-#include "common/log.h"
-
 namespace ht {
 
 Core::Core(RequestorId id, DomainId domain, const CoreConfig& config, Cache* cache,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/log.h"
-
 namespace ht {
 
 DramDevice::DramDevice(const DramConfig& config, uint32_t channel_index)
@@ -67,8 +65,6 @@ TimingVerdict DramDevice::Issue(const DdrCommand& cmd, Cycle now) {
   }
   if (verdict != TimingVerdict::kOk) {
     stats_.Add("dram.illegal_commands");
-    HT_LOG_DEBUG("rejected " << cmd.ToDebugString() << " at " << now << ": "
-                             << ToString(verdict));
     return verdict;
   }
   timing_.Record(cmd, now);

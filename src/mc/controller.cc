@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/log.h"
 #include "common/telemetry/profile.h"
 
 namespace ht {

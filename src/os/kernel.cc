@@ -6,8 +6,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "common/log.h"
-
 namespace ht {
 
 HostKernel::HostKernel(MemoryController* mc, FrameAllocator* allocator)

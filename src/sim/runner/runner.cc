@@ -405,7 +405,7 @@ void FlushRunnerTelemetry() {
   ProfilePhase flush_phase("telemetry.flush");
   std::string error;
   bool written = options.trace_out.empty() ||
-                 WriteTraceOutput(options.trace_out, *state.sink, &error);
+                 WriteTraceOutput(options.trace_out, state.sink->SnapshotBuffers(), &error);
   if (written && !options.metrics_out.empty()) {
     // MakeMetricsDocument consumes its input; hand it a copy so later
     // batches can re-flush the full accumulated list.
@@ -510,7 +510,9 @@ unsigned ApplyRunnerFlags(const ArgParser& parser) {
       (env_profile != nullptr && *env_profile != '\0' && *env_profile != '0')) {
     Profiler::Global().Enable();
   }
-  return static_cast<unsigned>(parser.GetUint("threads"));
+  // Resolved here, so a malformed HT_THREADS also stops the process before
+  // any scenario runs.
+  return ResolveThreadCount(static_cast<unsigned>(parser.GetUint("threads")));
 }
 
 }  // namespace ht

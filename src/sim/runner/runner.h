@@ -205,9 +205,10 @@ void AddTelemetryFlags(ArgParser& parser);
 // Reads the shared flags back (a telemetry flag that was not registered
 // reads as unset), installs the process-wide telemetry options
 // (defaulting --sample-every when --metrics-out is set), and returns the
-// requested worker count (0 = auto). A --trace-out or --metrics-out path
-// that cannot be opened ends the process here, before any scenario runs,
-// with exit status 2 and an `error: cannot open <path>` line on stderr.
+// worker count, resolved by ResolveThreadCount. A --trace-out or
+// --metrics-out path that cannot be opened, or a malformed HT_THREADS,
+// ends the process here, before any scenario runs, with exit status 2
+// and an `error: ...` line on stderr.
 unsigned ApplyRunnerFlags(const ArgParser& parser);
 
 }  // namespace ht

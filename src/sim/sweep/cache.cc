@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "common/telemetry/binary.h"
@@ -55,10 +54,10 @@ bool ValidateSweepCell(const JsonValue& doc, const std::string& key, std::string
   return true;
 }
 
-ResultCache::ResultCache(std::string dir, bool binary) : dir_(std::move(dir)), binary_(binary) {}
+ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
 
 std::string ResultCache::PathFor(const std::string& key) const {
-  return dir_ + "/cell_" + key + (binary_ ? kHtbExtension : ".json");
+  return dir_ + "/cell_" + key + ".json";
 }
 
 std::optional<JsonValue> ResultCache::Load(const std::string& key, std::string* why) const {
@@ -68,21 +67,8 @@ std::optional<JsonValue> ResultCache::Load(const std::string& key, std::string* 
     }
     return std::nullopt;
   }
-  // Try the configured format first, then the other one: mixed-mode
-  // caches (a JSON sweep resumed with --binary-cache, or vice versa)
-  // stay fully resumable. ReadTelemetryDocument sniffs content, so even
-  // a mislabeled entry decodes.
-  const std::string base = dir_ + "/cell_" + key;
-  const char* extensions[2] = {binary_ ? kHtbExtension : ".json",
-                               binary_ ? ".json" : kHtbExtension};
   std::string read_error;
-  std::optional<JsonValue> doc;
-  for (const char* extension : extensions) {
-    doc = ReadTelemetryDocument(base + extension, &read_error);
-    if (doc.has_value()) {
-      break;
-    }
-  }
+  std::optional<JsonValue> doc = ReadTelemetryDocument(PathFor(key), &read_error);
   if (!doc.has_value()) {
     if (why != nullptr) {
       *why = "no usable cache entry: " + read_error;
@@ -112,22 +98,9 @@ bool ResultCache::Store(const std::string& key, const JsonValue& cell, std::stri
   }
   const std::string final_path = PathFor(key);
   const std::string tmp_path = final_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::trunc | std::ios::binary);
-    if (!out) {
-      return fail("cannot open " + tmp_path);
-    }
-    // Format follows the cache mode, not the tmp suffix.
-    if (binary_) {
-      const std::string encoded = EncodeJsonBinary(cell);
-      out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-    } else {
-      cell.Dump(out);
-      out << "\n";
-    }
-    if (!out) {
-      return fail("write failed for " + tmp_path);
-    }
+  std::string write_error;
+  if (!WriteTelemetryDocument(tmp_path, cell, &write_error)) {
+    return fail(write_error);
   }
   std::filesystem::rename(tmp_path, final_path, ec);
   if (ec) {

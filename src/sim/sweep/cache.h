@@ -28,14 +28,10 @@ bool ValidateSweepCell(const JsonValue& doc, const std::string& key, std::string
 class ResultCache {
  public:
   // An empty `dir` disables the cache (Load always misses, Store is a
-  // no-op). The directory is created on first Store. `binary` selects the
-  // hammertime.bin.v1 on-disk form (`cell_<key>.htb`) for new entries —
-  // Load accepts either format regardless, so a cache written in one mode
-  // resumes byte-identically under the other.
-  explicit ResultCache(std::string dir, bool binary = false);
+  // no-op). The directory is created on first Store.
+  explicit ResultCache(std::string dir);
 
   bool enabled() const { return !dir_.empty(); }
-  bool binary() const { return binary_; }
   const std::string& dir() const { return dir_; }
   std::string PathFor(const std::string& key) const;
 
@@ -51,7 +47,6 @@ class ResultCache {
 
  private:
   std::string dir_;
-  bool binary_ = false;
 };
 
 }  // namespace ht

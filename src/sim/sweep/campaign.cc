@@ -79,9 +79,6 @@ int CampaignMain(const CampaignKind& kind, int argc, char** argv) {
   kind.declare_grid(parser);
   parser.Option("cache-dir", "DIR", "persist/reuse per-cell results here")
       .Flag("resume", "reuse valid cached cells instead of re-running them")
-      .Flag("binary-cache",
-            "store cache cells as hammertime.bin.v1 (.htb); either format is "
-            "readable on resume")
       .Option("shard", "K/N", "run only this shard of the cell list", "1/1")
       .Option("max-cells", "N", "stop after N executed cells (0 = all)", "0")
       .Option("progress-every", "SECONDS",
@@ -110,7 +107,6 @@ int CampaignMain(const CampaignKind& kind, int argc, char** argv) {
   options.threads = ApplyRunnerFlags(parser);
   options.cache_dir = parser.Get("cache-dir");
   options.resume = parser.GetBool("resume");
-  options.binary_cache = parser.GetBool("binary-cache");
   options.max_cells = parser.GetUint("max-cells");
   const std::string& progress = parser.Get("progress-every");
   if (!ParseNumberToken(progress, &options.progress_every) || options.progress_every < 0) {

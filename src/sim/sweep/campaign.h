@@ -1,8 +1,8 @@
 // The one driver behind the campaign CLIs (hammersweep, hammerpattern,
 // hammercloud). A CampaignKind says what differs per campaign: its grid
 // flags, how they expand into cells, and its report shape. CampaignMain
-// owns everything else: the --cache-dir/--resume/--binary-cache/--shard/
-// --max-cells/--progress-every/--out/--merge/--list flags, the runner
+// owns everything else: the --cache-dir/--resume/--shard/--max-cells/
+// --progress-every/--out/--merge/--list flags, the runner
 // flags, running the cells (RunCells), merging shard reports
 // (MergeCellReports, JSON and .htb inputs alike), and the stderr summary.
 #ifndef HAMMERTIME_SRC_SIM_SWEEP_CAMPAIGN_H_

@@ -220,7 +220,7 @@ SweepOutcome RunCells(const std::vector<SweepCellSpec>& all, const SweepOptions&
 
   // This shard's slice of the key-sorted cell list, then split into
   // cache hits and cells that still need simulation.
-  ResultCache cache(options.cache_dir, options.binary_cache);
+  ResultCache cache(options.cache_dir);
   std::vector<JsonValue> completed;
   std::vector<SweepCellSpec> pending;
   {

@@ -67,7 +67,6 @@ struct SweepOptions {
   unsigned threads = 0;       // 0 = HT_THREADS / hardware concurrency.
   std::string cache_dir;      // Empty = no result cache.
   bool resume = false;        // Reuse valid cached cells instead of re-running.
-  bool binary_cache = false;  // Store cache cells as hammertime.bin.v1 (.htb).
   uint32_t shard_index = 1;   // 1-based: cell i runs iff i % count == index-1.
   uint32_t shard_count = 1;
   uint64_t max_cells = 0;     // Stop after this many executed cells (0 = all);

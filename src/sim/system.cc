@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.h"
-
 namespace ht {
 
 const char* ToString(AllocPolicy policy) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -185,7 +186,7 @@ TEST(BinaryTrace, DecodedSnapshotsRenderIdenticalChromeJson) {
   buffer->Emit(1000, TraceKind::kBitFlip, 0, 0, 1, 4100, (uint64_t{1} << 32) | 4099);
 
   std::ostringstream direct;
-  sink.WriteChromeTrace(direct);
+  WriteChromeTrace(sink.SnapshotBuffers(), direct);
 
   const std::string encoded = EncodeTraceBinary(sink.SnapshotBuffers());
   const auto decoded = DecodeTraceBinary(encoded);
@@ -257,6 +258,39 @@ TEST(BinaryFile, ExtensionDispatchAndContentSniff) {
 
   EXPECT_FALSE(ReadTelemetryDocument(dir + "/absent.json", &error).has_value());
   EXPECT_FALSE(error.empty());
+}
+
+TEST(BinaryFile, TraceReadsAsItsChromeJsonTwin) {
+  const std::string dir = ::testing::TempDir() + "binary_trace_file";
+  std::filesystem::create_directories(dir);
+  TraceSink sink;
+  TraceBuffer* buffer = sink.CreateBuffer("scenario0.none.double-sided");
+  for (uint64_t i = 0; i < 16; ++i) {
+    buffer->Emit(50 + i * 3, i % 3 == 0 ? TraceKind::kRef : TraceKind::kAct, 0, 0,
+                 static_cast<uint8_t>(i % 4), static_cast<uint32_t>(100 + i), i);
+  }
+  sink.CreateBuffer("empty");
+
+  std::string error;
+  ASSERT_TRUE(WriteTraceOutput(dir + "/trace.htb", sink.SnapshotBuffers(), &error)) << error;
+  ASSERT_TRUE(WriteTraceOutput(dir + "/trace.json", sink.SnapshotBuffers(), &error)) << error;
+  const auto json_bytes = ReadFileBytes(dir + "/trace.json", &error);
+  ASSERT_TRUE(json_bytes.has_value()) << error;
+  const auto twin = JsonValue::Parse(*json_bytes, &error);
+  ASSERT_TRUE(twin.has_value()) << error;
+
+  const auto from_binary = ReadTelemetryDocument(dir + "/trace.htb", &error);
+  ASSERT_TRUE(from_binary.has_value()) << error;
+  EXPECT_TRUE(*from_binary == *twin);
+  ASSERT_NE(from_binary->Find("traceEvents"), nullptr);
+  EXPECT_EQ(from_binary->Find("traceEvents")->size(), twin->Find("traceEvents")->size());
+
+  // A corrupt trace container fails with the path in the message.
+  const std::string encoded = EncodeTraceBinary(sink.SnapshotBuffers());
+  std::ofstream(dir + "/truncated.htb", std::ios::binary)
+      .write(encoded.data(), static_cast<std::streamsize>(encoded.size() - 1));
+  EXPECT_FALSE(ReadTelemetryDocument(dir + "/truncated.htb", &error).has_value());
+  EXPECT_NE(error.find("truncated.htb: "), std::string::npos) << error;
 }
 
 }  // namespace

@@ -173,54 +173,6 @@ TEST(RunSweep, ResumeCompletesOnlyMissingCells) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(RunSweep, BinaryCacheResumesByteIdentically) {
-  const std::string dir = FreshDir("binary_resume");
-  const SweepGrid grid = TinyGrid();
-
-  SweepOptions uncached;
-  uncached.threads = 1;
-  const SweepOutcome full = RunCells(ExpandGrid(grid), uncached, MakeSweepReport);
-  ASSERT_TRUE(full.ok) << full.error;
-
-  // Interrupted binary-cache run: cells persist as .htb containers.
-  SweepOptions partial = uncached;
-  partial.cache_dir = dir;
-  partial.resume = true;
-  partial.binary_cache = true;
-  partial.max_cells = 1;
-  const SweepOutcome interrupted = RunCells(ExpandGrid(grid), partial, MakeSweepReport);
-  ASSERT_TRUE(interrupted.ok) << interrupted.error;
-  EXPECT_EQ(interrupted.executed_cells, 1u);
-  EXPECT_EQ(interrupted.cache_misses, 3u);
-  size_t htb_cells = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().extension(), ".htb") << entry.path();
-    ++htb_cells;
-  }
-  EXPECT_EQ(htb_cells, 1u);
-
-  // Resuming in binary mode reuses the binary cell and finishes the rest;
-  // the stitched report is byte-identical to the uninterrupted JSON run.
-  SweepOptions resume = partial;
-  resume.max_cells = 0;
-  const SweepOutcome resumed = RunCells(ExpandGrid(grid), resume, MakeSweepReport);
-  ASSERT_TRUE(resumed.ok) << resumed.error;
-  EXPECT_EQ(resumed.cached_cells, 1u);
-  EXPECT_EQ(resumed.executed_cells, 2u);
-  EXPECT_EQ(resumed.report.ToString(), full.report.ToString());
-
-  // Mixed-format resume: a JSON-mode run over the binary cache still
-  // loads every cell (the reader sniffs content, not extensions).
-  SweepOptions json_mode = resume;
-  json_mode.binary_cache = false;
-  const SweepOutcome warm = RunCells(ExpandGrid(grid), json_mode, MakeSweepReport);
-  ASSERT_TRUE(warm.ok) << warm.error;
-  EXPECT_EQ(warm.cached_cells, 3u);
-  EXPECT_EQ(warm.executed_cells, 0u);
-  EXPECT_EQ(warm.report.ToString(), full.report.ToString());
-  std::filesystem::remove_all(dir);
-}
-
 TEST(RunSweep, OutcomeCarriesWallClockBreakdown) {
   SweepOptions options;
   options.threads = 1;

@@ -12,7 +12,6 @@
 
 #include "attack/hammer.h"
 #include "attack/planner.h"
-#include "common/log.h"
 #include "common/stats.h"
 #include "common/telemetry/json.h"
 #include "common/telemetry/report.h"
@@ -131,7 +130,7 @@ TEST(TraceSink, ChromeExportValidatesAndNamesTracks) {
   b->Emit(9, TraceKind::kRef, 1, 1, 0, 0, 0);
   b->Emit(11, TraceKind::kDefenseTrigger, 0, 0, 0, 0, 0xdead);
   std::ostringstream out;
-  sink.WriteChromeTrace(out);
+  WriteChromeTrace(sink.SnapshotBuffers(), out);
 
   std::string error;
   auto doc = JsonValue::Parse(out.str(), &error);
@@ -305,25 +304,6 @@ TEST(Report, ValidationFlagsMissingFields) {
   JsonValue wrong_schema = JsonValue::Object();
   wrong_schema.Set("schema", JsonValue::Str("something.else"));
   EXPECT_FALSE(ValidateMetricsDocument(wrong_schema, &error));
-}
-
-// --- Log sink ----------------------------------------------------------------
-
-TEST(LogSink, CapturesLinesAndRestores) {
-  std::vector<std::pair<LogLevel, std::string>> captured;
-  SetLogSink([&](LogLevel level, const std::string& line) {
-    captured.emplace_back(level, line);
-  });
-  const LogLevel saved = GetLogLevel();
-  SetLogLevel(LogLevel::kInfo);
-  HT_LOG_INFO("hello " << 42);
-  HT_LOG_DEBUG("filtered out");  // Below threshold: never reaches the sink.
-  SetLogLevel(saved);
-  SetLogSink({});  // Restore stderr.
-
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0].first, LogLevel::kInfo);
-  EXPECT_NE(captured[0].second.find("hello 42"), std::string::npos);
 }
 
 // --- End-to-end: traced system -----------------------------------------------

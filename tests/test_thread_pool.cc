@@ -227,13 +227,29 @@ TEST(ResolveThreadCountTest, EnvironmentThenHardwareFallback) {
 
   setenv("HT_THREADS", "5", 1);
   EXPECT_EQ(ResolveThreadCount(0), 5u);
-  setenv("HT_THREADS", "not-a-number", 1);
-  EXPECT_GE(ResolveThreadCount(0), 1u);  // Falls through to hardware.
+  setenv("HT_THREADS", "0", 1);
+  EXPECT_GE(ResolveThreadCount(0), 1u);  // 0 = auto: falls through to hardware.
   unsetenv("HT_THREADS");
   EXPECT_GE(ResolveThreadCount(0), 1u);
 
   if (saved != nullptr) {
     setenv("HT_THREADS", saved_value.c_str(), 1);
+  }
+}
+
+TEST(ResolveThreadCountDeathTest, MalformedEnvironmentExitsNamingTheVariable) {
+  // An explicit request does not excuse a bad variable: the shared pool
+  // is still sized from it.
+  for (const char* bad : {"4x", "abc", "-2", " 4"}) {
+    for (const unsigned requested : {0u, 3u}) {
+      EXPECT_EXIT(
+          {
+            setenv("HT_THREADS", bad, 1);
+            ResolveThreadCount(requested);
+          },
+          ::testing::ExitedWithCode(2), "error: bad HT_THREADS")
+          << "HT_THREADS=" << bad << " requested=" << requested;
+    }
   }
 }
 

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -55,39 +54,6 @@ struct CliOptions {
   uint64_t inject_pick_at = 0;  // Arm scheduler-reference fault injection.
   bool verbose = false;
 };
-
-void PrintUsage() {
-  std::puts(
-      "hammerfuzz — differential fuzzer for the hammertime fast paths\n"
-      "\n"
-      "  --iterations N     random cases to generate (default 100)\n"
-      "  --seed S           master seed for case generation (default 1)\n"
-      "  --mode M           device | scenario | pattern | both\n"
-      "                     (default both: device/scenario, 3:1 device-heavy)\n"
-      "  --out DIR          where repro_*.seed files are written (default .)\n"
-      "  --corpus DIR       replay every *.seed file in DIR and exit\n"
-      "  --replay FILE      replay one seed file and exit\n"
-      "  --inject-at N      break the reference model after N commands\n"
-      "                     (tests that the oracle actually fires)\n"
-      "  --inject-pick-at N break the FR-FCFS reference after N scheduling\n"
-      "                     decisions (scenario cases; tests that a wrong\n"
-      "                     pick is caught)\n"
-      "  --verbose          one line per case\n"
-      "\n"
-      "Seed files hold one case per line (blank lines and # comments are\n"
-      "skipped). Each line is self-contained and replayable on its own:\n"
-      "\n"
-      "  htfuzz v1 <kind> seed=0xHEX steps=N|cycles=N mask=0xHEX inject=N\n"
-      "                   [inject_pick=N]\n"
-      "\n"
-      "where <kind> is device, scenario, or pattern; device and pattern\n"
-      "cases carry steps=N, scenario cases carry cycles=N; mask holds the\n"
-      "feature-disable bits pinned by shrinking; inject=N arms oracle\n"
-      "fault injection after N commands (0 = off); inject_pick=N breaks the\n"
-      "FR-FCFS reference after N scheduling decisions.\n"
-      "\n"
-      "Exit status: 0 all cases clean, 1 any failure, 2 usage error.");
-}
 
 // --- Scenario cases ----------------------------------------------------------
 
@@ -536,15 +502,22 @@ int main(int argc, char** argv) {
               "break the reference model after N commands (tests that the oracle fires)")
       .Option("inject-pick-at", "N",
               "break the FR-FCFS reference after N scheduling decisions (scenario cases)")
-      .Flag("verbose", "one line per case");
-  if (!parser.Parse(argc, argv)) {
-    std::fprintf(stderr, "hammerfuzz: %s\n", parser.error().c_str());
-    return 2;
-  }
-  if (parser.help_requested()) {
-    PrintUsage();
-    return 0;
-  }
+      .Flag("verbose", "one line per case")
+      .Epilog(
+          "Seed files hold one case per line (blank lines and # comments are\n"
+          "skipped). Each line is self-contained and replayable on its own:\n"
+          "\n"
+          "  htfuzz v1 <kind> seed=0xHEX steps=N|cycles=N mask=0xHEX inject=N\n"
+          "                   [inject_pick=N]\n"
+          "\n"
+          "where <kind> is device, scenario, or pattern; device and pattern\n"
+          "cases carry steps=N, scenario cases carry cycles=N; mask holds the\n"
+          "feature-disable bits pinned by shrinking; inject=N arms oracle\n"
+          "fault injection after N commands (0 = off); inject_pick=N breaks the\n"
+          "FR-FCFS reference after N scheduling decisions.\n"
+          "\n"
+          "Exit status: 0 all cases clean, 1 any failure, 2 usage error.\n");
+  parser.ParseOrExit(argc, argv);
   CliOptions options;
   options.iterations = parser.GetUint("iterations");
   options.seed = parser.GetUint("seed");

@@ -33,12 +33,12 @@
 //                                         to fabricate a regression.
 //
 // Every FILE argument may be JSON text or a hammertime.bin.v1 (.htb)
-// container; the reader sniffs content, not extensions.
+// container; all of them are read by ReadTelemetryDocument, which sniffs
+// content, not extensions.
 //
 // Exits 0 on success, 1 on validation failure, 2 on usage/IO errors.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -66,33 +66,13 @@ int Usage() {
   return 2;
 }
 
-// Loads a telemetry file as a JsonValue document. Binary containers are
-// decoded: a kJson payload yields the original document, a kTrace payload
-// is rendered through the canonical Chrome-trace writer so `--trace`
-// validates .htb traces exactly like their JSON twins.
+// Loads a telemetry file through the one reader (a .htb trace reads as
+// its Chrome JSON twin, so --trace validates both alike).
 std::optional<ht::JsonValue> ParseFile(const std::string& path) {
   std::string error;
-  std::optional<std::string> read = ht::ReadFileBytes(path, &error);
-  if (!read.has_value()) {
-    std::fprintf(stderr, "trace_check: %s\n", error.c_str());
-    return std::nullopt;
-  }
-  const std::string& bytes = *read;
-  std::optional<ht::JsonValue> doc;
-  if (ht::SniffHtbPayload(bytes) == ht::HtbPayload::kTrace) {
-    auto buffers = ht::DecodeTraceBinary(bytes, &error);
-    if (buffers.has_value()) {
-      std::ostringstream chrome;
-      ht::WriteChromeTrace(*buffers, chrome);
-      doc = ht::JsonValue::Parse(chrome.str(), &error);
-    }
-  } else if (ht::SniffHtbPayload(bytes) == ht::HtbPayload::kJson) {
-    doc = ht::DecodeJsonBinary(bytes, &error);
-  } else {
-    doc = ht::JsonValue::Parse(bytes, &error);
-  }
+  std::optional<ht::JsonValue> doc = ht::ReadTelemetryDocument(path, &error);
   if (!doc.has_value()) {
-    std::fprintf(stderr, "trace_check: %s: %s\n", path.c_str(), error.c_str());
+    std::fprintf(stderr, "trace_check: %s\n", error.c_str());
   }
   return doc;
 }
@@ -115,6 +95,12 @@ void ZeroWallSeconds(ht::JsonValue& value) {
   }
 }
 
+struct SchemaMode {
+  const char* flag;
+  std::function<bool(const ht::JsonValue&, std::string*)> validate;
+  std::function<std::string(const ht::JsonValue&)> summary;  // After "valid ".
+};
+
 // Parses a whole finite number > 0; otherwise names `what` on stderr.
 bool ParsePositive(const char* what, const char* text, double* out) {
   if (ht::ParseNumberToken(text, out) && *out > 0.0) {
@@ -133,82 +119,51 @@ int main(int argc, char** argv) {
   const std::string mode = argv[1];
   std::string error;
 
-  if (mode == "--trace") {
+  // The schema modes: FILE must validate, and the summary names its size.
+  const std::vector<std::string> names(argv + 3, argv + argc);  // --trace only.
+  const auto cells = [](const ht::JsonValue& doc) {
+    return std::to_string(doc.Find("cells")->size()) + "/" +
+           std::to_string(doc.Find("grid_cells")->as_uint()) + " cells";
+  };
+  const auto size_of = [](const ht::JsonValue& doc, const char* member) {
+    return std::to_string(doc.Find(member)->size());
+  };
+  const SchemaMode schema_modes[] = {
+      {"--trace",
+       [&](const ht::JsonValue& doc, std::string* e) {
+         return ht::ValidateChromeTrace(doc, names, e);
+       },
+       [&](const ht::JsonValue& doc) {
+         return "chrome trace (" + size_of(doc, "traceEvents") + " events)";
+       }},
+      {"--metrics", ht::ValidateMetricsDocument,
+       [&](const ht::JsonValue& doc) {
+         return "metrics document (" + size_of(doc, "reports") + " reports)";
+       }},
+      {"--sweep", ht::ValidateSweepReport,
+       [&](const ht::JsonValue& doc) { return "sweep report (" + cells(doc) + ")"; }},
+      {"--pattern", ht::ValidatePatternReport,
+       [&](const ht::JsonValue& doc) {
+         return "pattern report (" + cells(doc) + ", " + size_of(doc, "ranking") + " vendors)";
+       }},
+      {"--cloud", ht::ValidateCloudReport,
+       [&](const ht::JsonValue& doc) {
+         return "cloud report (" + cells(doc) + ", " + size_of(doc, "ranking") + " families)";
+       }},
+  };
+  for (const SchemaMode& schema : schema_modes) {
+    if (mode != schema.flag) {
+      continue;
+    }
     auto doc = ParseFile(argv[2]);
     if (!doc.has_value()) {
       return 2;
     }
-    std::vector<std::string> required;
-    for (int i = 3; i < argc; ++i) {
-      required.push_back(argv[i]);
-    }
-    if (!ht::ValidateChromeTrace(*doc, required, &error)) {
+    if (!schema.validate(*doc, &error)) {
       std::fprintf(stderr, "trace_check: %s: %s\n", argv[2], error.c_str());
       return 1;
     }
-    std::printf("trace_check: %s: valid chrome trace (%zu events)\n", argv[2],
-                doc->Find("traceEvents")->size());
-    return 0;
-  }
-
-  if (mode == "--metrics") {
-    auto doc = ParseFile(argv[2]);
-    if (!doc.has_value()) {
-      return 2;
-    }
-    if (!ht::ValidateMetricsDocument(*doc, &error)) {
-      std::fprintf(stderr, "trace_check: %s: %s\n", argv[2], error.c_str());
-      return 1;
-    }
-    std::printf("trace_check: %s: valid metrics document (%zu reports)\n", argv[2],
-                doc->Find("reports")->size());
-    return 0;
-  }
-
-  if (mode == "--sweep") {
-    auto doc = ParseFile(argv[2]);
-    if (!doc.has_value()) {
-      return 2;
-    }
-    if (!ht::ValidateSweepReport(*doc, &error)) {
-      std::fprintf(stderr, "trace_check: %s: %s\n", argv[2], error.c_str());
-      return 1;
-    }
-    std::printf("trace_check: %s: valid sweep report (%zu/%llu cells)\n", argv[2],
-                doc->Find("cells")->size(),
-                static_cast<unsigned long long>(doc->Find("grid_cells")->as_uint()));
-    return 0;
-  }
-
-  if (mode == "--pattern") {
-    auto doc = ParseFile(argv[2]);
-    if (!doc.has_value()) {
-      return 2;
-    }
-    if (!ht::ValidatePatternReport(*doc, &error)) {
-      std::fprintf(stderr, "trace_check: %s: %s\n", argv[2], error.c_str());
-      return 1;
-    }
-    std::printf("trace_check: %s: valid pattern report (%zu/%llu cells, %zu vendors)\n",
-                argv[2], doc->Find("cells")->size(),
-                static_cast<unsigned long long>(doc->Find("grid_cells")->as_uint()),
-                doc->Find("ranking")->size());
-    return 0;
-  }
-
-  if (mode == "--cloud") {
-    auto doc = ParseFile(argv[2]);
-    if (!doc.has_value()) {
-      return 2;
-    }
-    if (!ht::ValidateCloudReport(*doc, &error)) {
-      std::fprintf(stderr, "trace_check: %s: %s\n", argv[2], error.c_str());
-      return 1;
-    }
-    std::printf("trace_check: %s: valid cloud report (%zu/%llu cells, %zu families)\n",
-                argv[2], doc->Find("cells")->size(),
-                static_cast<unsigned long long>(doc->Find("grid_cells")->as_uint()),
-                doc->Find("ranking")->size());
+    std::printf("trace_check: %s: valid %s\n", argv[2], schema.summary(*doc).c_str());
     return 0;
   }
 
@@ -259,33 +214,16 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "trace_check: %s: %s\n", in_path.c_str(), error.c_str());
         return 1;
       }
-      std::ofstream out(out_path, std::ios::trunc | std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "trace_check: cannot open %s\n", out_path.c_str());
-        return 2;
-      }
-      if (ht::IsBinaryTelemetryPath(out_path)) {
-        const std::string encoded = ht::EncodeTraceBinary(*buffers);
-        out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-      } else {
-        ht::WriteChromeTrace(*buffers, out);
-      }
-      if (!out.flush()) {
-        std::fprintf(stderr, "trace_check: write failed for %s\n", out_path.c_str());
+      if (!ht::WriteTraceOutput(out_path, *buffers, &error)) {
+        std::fprintf(stderr, "trace_check: %s\n", error.c_str());
         return 2;
       }
       std::printf("trace_check: converted trace %s -> %s (%zu buffers)\n", in_path.c_str(),
                   out_path.c_str(), buffers->size());
       return 0;
     }
-    std::optional<ht::JsonValue> doc;
-    if (ht::SniffHtbPayload(bytes) == ht::HtbPayload::kJson) {
-      doc = ht::DecodeJsonBinary(bytes, &error);
-    } else {
-      doc = ht::JsonValue::Parse(bytes, &error);
-    }
+    auto doc = ParseFile(in_path);
     if (!doc.has_value()) {
-      std::fprintf(stderr, "trace_check: %s: %s\n", in_path.c_str(), error.c_str());
       return 1;
     }
     if (!ht::WriteTelemetryDocument(out_path, *doc, &error)) {
