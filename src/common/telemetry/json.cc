@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 namespace ht {
@@ -562,6 +563,47 @@ class JsonParser {
 
 std::optional<JsonValue> JsonValue::Parse(std::string_view text, std::string* error) {
   return JsonParser(text, error).Run();
+}
+
+bool WriteTextFile(const std::string& path, const std::function<void(std::ostream&)>& write,
+                   std::string* error) {
+  std::ofstream out(path, std::ios::binary);
+  if (out) {
+    write(out);
+    out.flush();
+  }
+  if (!out && error != nullptr) {
+    *error = (out.is_open() ? "write failed for " : "cannot open ") + path;
+  }
+  return static_cast<bool>(out);
+}
+
+bool WriteTelemetryDocument(const std::string& path, const JsonValue& doc, std::string* error) {
+  return WriteTextFile(
+      path,
+      [&](std::ostream& out) {
+        doc.Dump(out);
+        out << "\n";
+      },
+      error);
+}
+
+std::optional<JsonValue> ReadTelemetryDocument(const std::string& path, std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    if (error != nullptr) {
+      *error = "cannot open " + path;
+    }
+    return std::nullopt;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string parse_error;
+  std::optional<JsonValue> doc = JsonValue::Parse(text.str(), &parse_error);
+  if (!doc.has_value() && error != nullptr) {
+    *error = path + ": " + parse_error;
+  }
+  return doc;
 }
 
 }  // namespace ht

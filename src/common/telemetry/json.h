@@ -2,13 +2,16 @@
 // reports are built as JsonValue trees and dumped deterministically
 // (object keys keep insertion order, integers print exactly, doubles use
 // shortest round-trip form), and emitted files are parsed back for
-// schema validation (tools/trace_check, tests). Not a general-purpose
+// schema validation (tools/trace_check, tests). Every telemetry file —
+// run report, campaign report, cache cell, trace — is JSON text written
+// and read through the file helpers at the bottom. Not a general-purpose
 // JSON library: no comments, no \u surrogate pairs on output, numbers
 // outside uint64/int64/double are rejected.
 #ifndef HAMMERTIME_SRC_COMMON_TELEMETRY_JSON_H_
 #define HAMMERTIME_SRC_COMMON_TELEMETRY_JSON_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -90,6 +93,22 @@ void JsonEscape(std::string_view text, std::ostream& out);
 // Shortest round-trip decimal form of `value` ("0" for zeros, "null" is
 // never produced — non-finite values are clamped to 0).
 std::string JsonDouble(double value);
+
+// --- Files -------------------------------------------------------------------
+
+// Writes what `write` emits to `path`. Returns false and fills `error`
+// ("cannot open PATH" / "write failed for PATH") on I/O failure.
+bool WriteTextFile(const std::string& path, const std::function<void(std::ostream&)>& write,
+                   std::string* error = nullptr);
+
+// Writes `doc` to `path` as Dump(2) plus a trailing newline.
+bool WriteTelemetryDocument(const std::string& path, const JsonValue& doc,
+                            std::string* error = nullptr);
+
+// Reads and parses the JSON document at `path`; nullopt with `error`
+// naming the path when it cannot be read or does not parse.
+std::optional<JsonValue> ReadTelemetryDocument(const std::string& path,
+                                               std::string* error = nullptr);
 
 }  // namespace ht
 

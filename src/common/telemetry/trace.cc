@@ -54,13 +54,7 @@ TraceBuffer::TraceBuffer(std::string label, size_t capacity)
 std::vector<TraceEvent> TraceBuffer::Snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(size());
-  if (emitted_ <= capacity_) {
-    out.assign(ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(emitted_));
-    return out;
-  }
-  const size_t head = static_cast<size_t>(emitted_ % capacity_);  // Oldest retained event.
-  out.insert(out.end(), ring_.begin() + static_cast<ptrdiff_t>(head), ring_.end());
-  out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(head));
+  ForEach([&](const TraceEvent& event) { out.push_back(event); });
   return out;
 }
 
@@ -154,30 +148,16 @@ void WriteEventJson(const TraceEvent& event, std::ostream& out) {
 
 }  // namespace
 
-std::vector<TraceBufferSnapshot> TraceSink::SnapshotBuffers() const {
+void TraceSink::WriteChromeTrace(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceBufferSnapshot> out;
-  out.reserve(buffers_.size());
-  for (const auto& buffer : buffers_) {
-    TraceBufferSnapshot snap;
-    snap.label = buffer->label();
-    snap.capacity = buffer->capacity();
-    snap.emitted = buffer->events_emitted();
-    snap.events = buffer->Snapshot();
-    out.push_back(std::move(snap));
-  }
-  return out;
-}
-
-void WriteChromeTrace(const std::vector<TraceBufferSnapshot>& buffers, std::ostream& out) {
   out << "{\"traceEvents\":[";
   bool first = true;
   // (pid, tid) -> track name; std::map keeps the metadata block ordered
   // so serial and parallel runs serialize identically.
   std::map<std::pair<uint32_t, uint32_t>, std::string> tracks;
   std::map<uint32_t, std::string> processes;
-  for (const auto& buffer : buffers) {
-    for (const TraceEvent& event : buffer.events) {
+  for (const auto& buffer : buffers_) {
+    buffer->ForEach([&](const TraceEvent& event) {
       if (!first) {
         out << ",\n";
       }
@@ -192,7 +172,7 @@ void WriteChromeTrace(const std::vector<TraceBufferSnapshot>& buffers, std::ostr
       } else {
         processes.emplace(track.pid, "channel" + std::to_string(track.pid));
       }
-    }
+    });
   }
   for (const auto& [pid, name] : processes) {
     if (!first) {

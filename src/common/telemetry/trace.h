@@ -44,13 +44,11 @@ enum class TraceKind : uint8_t {
   kActInterrupt,       // arg = trigger physical address.
   kMitigationRefresh,  // row = aggressor, arg = blast radius.
   kEpochRollover,      // refresh-window boundary, arg = window index.
-  // Wire value 13 is retired; the values below are pinned so existing
-  // .htb traces decode unchanged.
   // Defense / OS events (channel/rank/bank unused).
-  kDefenseTrigger = 14,  // arg = trigger physical address (or detection key).
-  kDefenseAction = 15,   // arg = acted-on physical address.
-  kQuarantine = 16,      // arg = migrated physical address.
-  kPageMove = 17,        // arg = destination frame.
+  kDefenseTrigger,  // arg = trigger physical address (or detection key).
+  kDefenseAction,   // arg = acted-on physical address.
+  kQuarantine,      // arg = migrated physical address.
+  kPageMove,        // arg = destination frame.
 };
 
 const char* ToString(TraceKind kind);
@@ -89,6 +87,15 @@ class TraceBuffer {
   uint64_t events_dropped() const { return emitted_ > capacity_ ? emitted_ - capacity_ : 0; }
   size_t size() const { return static_cast<size_t>(std::min<uint64_t>(emitted_, capacity_)); }
 
+  // Calls fn(event) for each retained event in chronological (emit) order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    const size_t head = emitted_ > capacity_ ? static_cast<size_t>(emitted_ % capacity_) : 0;
+    for (size_t i = 0; i < size(); ++i) {
+      fn(ring_[(head + i) % ring_.size()]);
+    }
+  }
+
   // Retained events in chronological (emit) order.
   std::vector<TraceEvent> Snapshot() const;
 
@@ -97,18 +104,6 @@ class TraceBuffer {
   uint64_t capacity_;
   uint64_t emitted_ = 0;
   std::vector<TraceEvent> ring_;
-};
-
-// A buffer's retained events plus the bookkeeping needed to reproduce
-// its serialized forms exactly: `capacity`/`emitted` preserve the drop
-// count across a binary round-trip, `events` are chronological. Both the
-// live sink and the binary decoder (telemetry/binary.h) produce these,
-// so every writer below consumes the same shape.
-struct TraceBufferSnapshot {
-  std::string label;
-  uint64_t capacity = 0;
-  uint64_t emitted = 0;
-  std::vector<TraceEvent> events;
 };
 
 // Owns one TraceBuffer per scenario/thread and renders the merged stream.
@@ -130,20 +125,16 @@ class TraceSink {
   size_t buffer_count() const;
   uint64_t total_emitted() const;
 
-  // Per-buffer snapshots in creation order (what WriteTraceOutput and
-  // WriteChromeTrace take).
-  std::vector<TraceBufferSnapshot> SnapshotBuffers() const;
+  // Chrome trace_event JSON ("traceEvents" array + track-name metadata)
+  // of every buffer's retained events, merged in creation order. `ts` is
+  // the simulated cycle; pid/tid encode channel and rank/bank.
+  void WriteChromeTrace(std::ostream& out) const;
 
  private:
   mutable std::mutex mu_;
   size_t buffer_capacity_;
   std::vector<std::unique_ptr<TraceBuffer>> buffers_;
 };
-
-// Chrome trace_event JSON ("traceEvents" array + track-name metadata) from
-// a sink's snapshots or a decoded .htb trace, which serialize alike. `ts`
-// is the simulated cycle; pid/tid encode channel and rank/bank.
-void WriteChromeTrace(const std::vector<TraceBufferSnapshot>& buffers, std::ostream& out);
 
 }  // namespace ht
 

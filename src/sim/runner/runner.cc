@@ -12,7 +12,7 @@
 #include "attack/hammer.h"
 #include "attack/pattern.h"
 #include "attack/planner.h"
-#include "common/telemetry/binary.h"
+#include "common/telemetry/json.h"
 #include "common/telemetry/profile.h"
 #include "common/telemetry/report.h"
 #include "common/thread_pool.h"
@@ -28,9 +28,13 @@ Cycle RunBudget(Cycle cycles) {
     if (env == nullptr || *env == '\0') {
       return kNeverCycle;
     }
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    return (end != env && parsed > 0) ? static_cast<Cycle>(parsed) : Cycle{20000};
+    uint64_t parsed = 0;
+    if (!ParseUintToken(env, &parsed) || parsed == 0) {
+      std::fprintf(stderr, "error: bad HT_BENCH_SMOKE %s (want a whole number of cycles > 0)\n",
+                   env);
+      std::exit(2);
+    }
+    return Cycle{parsed};
   }();
   return std::min(cycles, cap);
 }
@@ -405,7 +409,9 @@ void FlushRunnerTelemetry() {
   ProfilePhase flush_phase("telemetry.flush");
   std::string error;
   bool written = options.trace_out.empty() ||
-                 WriteTraceOutput(options.trace_out, state.sink->SnapshotBuffers(), &error);
+                 WriteTextFile(
+                     options.trace_out,
+                     [&](std::ostream& out) { state.sink->WriteChromeTrace(out); }, &error);
   if (written && !options.metrics_out.empty()) {
     // MakeMetricsDocument consumes its input; hand it a copy so later
     // batches can re-flush the full accumulated list.
@@ -471,11 +477,8 @@ void AddRunnerFlags(ArgParser& parser) {
 }
 
 void AddTelemetryFlags(ArgParser& parser) {
-  parser.Option("trace-out", "PATH",
-                "write an event trace: Chrome trace_event JSON, or compact "
-                "hammertime.bin.v1 when PATH ends in .htb");
-  parser.Option("metrics-out", "PATH",
-                "write a hammertime.metrics.v1 run report (binary when PATH ends in .htb)");
+  parser.Option("trace-out", "PATH", "write an event trace as Chrome trace_event JSON");
+  parser.Option("metrics-out", "PATH", "write a hammertime.metrics.v1 run report");
   parser.Option("sample-every", "N",
                 "stat-sampler period in cycles (default 16384 when --metrics-out is set)");
 }
@@ -510,8 +513,9 @@ unsigned ApplyRunnerFlags(const ArgParser& parser) {
       (env_profile != nullptr && *env_profile != '\0' && *env_profile != '0')) {
     Profiler::Global().Enable();
   }
-  // Resolved here, so a malformed HT_THREADS also stops the process before
-  // any scenario runs.
+  // Resolved here, so a malformed HT_BENCH_SMOKE or HT_THREADS also stops
+  // the process before any scenario runs.
+  RunBudget(kNeverCycle);
   return ResolveThreadCount(static_cast<unsigned>(parser.GetUint("threads")));
 }
 

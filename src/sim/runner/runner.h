@@ -73,10 +73,11 @@ struct ScenarioResult {
 };
 
 // The run budget of one job: `cycles`, capped for smoke tests. When
-// HT_BENCH_SMOKE is set, every job runs for at most that many cycles (the
-// variable's value, or 20000 when it is set but not a number) — enough to
-// exercise the full setup/run/assess path while keeping whole benches
-// under a second for the `bench_smoke` CTest label.
+// HT_BENCH_SMOKE is set, every job runs for at most that many cycles —
+// enough to exercise the full setup/run/assess path while keeping whole
+// benches under a second for the `bench_smoke` CTest label. A value that
+// is not a whole number > 0 (ParseUintToken) ends the process with exit
+// status 2; ApplyRunnerFlags checks it before any scenario runs.
 Cycle RunBudget(Cycle cycles);
 
 // --- Telemetry plumbing ------------------------------------------------------
@@ -206,9 +207,9 @@ void AddTelemetryFlags(ArgParser& parser);
 // reads as unset), installs the process-wide telemetry options
 // (defaulting --sample-every when --metrics-out is set), and returns the
 // worker count, resolved by ResolveThreadCount. A --trace-out or
-// --metrics-out path that cannot be opened, or a malformed HT_THREADS,
-// ends the process here, before any scenario runs, with exit status 2
-// and an `error: ...` line on stderr.
+// --metrics-out path that cannot be opened, or a malformed HT_THREADS or
+// HT_BENCH_SMOKE, ends the process here, before any scenario runs, with
+// exit status 2 and an `error: ...` line on stderr.
 unsigned ApplyRunnerFlags(const ArgParser& parser);
 
 }  // namespace ht

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "common/telemetry/binary.h"
 #include "sim/sweep/speckey.h"
 
 namespace ht {

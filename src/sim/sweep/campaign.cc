@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "common/telemetry/binary.h"
+#include "common/telemetry/json.h"
 
 namespace ht {
 namespace {
@@ -28,7 +28,6 @@ bool WriteReport(const JsonValue& report, const std::string& out_path) {
     std::error_code ec;
     std::filesystem::create_directories(parent, ec);
   }
-  // Extension-dispatched: `--out report.htb` writes hammertime.bin.v1.
   return WriteTelemetryDocument(out_path, report);
 }
 
@@ -38,7 +37,6 @@ int Merge(const CampaignKind& kind, const ArgParser& parser) {
   }
   std::vector<JsonValue> reports;
   for (const std::string& path : parser.positionals()) {
-    // Shard inputs may be JSON or .htb; the reader sniffs content.
     std::string error;
     std::optional<JsonValue> doc = ReadTelemetryDocument(path, &error);
     if (!doc.has_value()) {
@@ -83,8 +81,7 @@ int CampaignMain(const CampaignKind& kind, int argc, char** argv) {
       .Option("max-cells", "N", "stop after N executed cells (0 = all)", "0")
       .Option("progress-every", "SECONDS",
               "print heartbeat progress lines to stderr while cells execute", "0")
-      .Option("out", "FILE",
-              "write the report here (default: stdout; binary when FILE ends in .htb)")
+      .Option("out", "FILE", "write the report here (default: stdout)")
       .Flag("merge", "merge shard report files (positionals) instead of running")
       .Flag("list", "print the expanded cell list without running anything");
   AddRunnerFlags(parser);

@@ -4,7 +4,7 @@
 // owns everything else: the --cache-dir/--resume/--shard/--max-cells/
 // --progress-every/--out/--merge/--list flags, the runner
 // flags, running the cells (RunCells), merging shard reports
-// (MergeCellReports, JSON and .htb inputs alike), and the stderr summary.
+// (MergeCellReports), and the stderr summary.
 #ifndef HAMMERTIME_SRC_SIM_SWEEP_CAMPAIGN_H_
 #define HAMMERTIME_SRC_SIM_SWEEP_CAMPAIGN_H_
 

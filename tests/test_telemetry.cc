@@ -1,10 +1,14 @@
 // Telemetry-layer tests: histogram quantile/merge edge cases, interned
 // gauge handles, the trace ring buffer and Chrome export, sampler series
 // alignment (including across StatSet::Reset and idle-skipping), the
-// ordered JSON model, and run-report schema validation.
+// telemetry file helpers, the ordered JSON model, and run-report schema
+// validation.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -130,7 +134,7 @@ TEST(TraceSink, ChromeExportValidatesAndNamesTracks) {
   b->Emit(9, TraceKind::kRef, 1, 1, 0, 0, 0);
   b->Emit(11, TraceKind::kDefenseTrigger, 0, 0, 0, 0, 0xdead);
   std::ostringstream out;
-  WriteChromeTrace(sink.SnapshotBuffers(), out);
+  sink.WriteChromeTrace(out);
 
   std::string error;
   auto doc = JsonValue::Parse(out.str(), &error);
@@ -138,6 +142,65 @@ TEST(TraceSink, ChromeExportValidatesAndNamesTracks) {
   EXPECT_TRUE(ValidateChromeTrace(*doc, {"ACT", "REF", "DEFENSE"}, &error)) << error;
   // A name absent from the stream must fail the required-names check.
   EXPECT_FALSE(ValidateChromeTrace(*doc, {"FLIP"}, &error));
+}
+
+// --- Telemetry files ---------------------------------------------------------
+
+std::string TempDirFor(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(TelemetryFile, WritesDumpAndRejectsMissingOrMalformedFiles) {
+  const std::string dir = TempDirFor("telemetry_file");
+  JsonValue doc = JsonValue::Object();
+  doc.Set("schema", JsonValue::Str("hammertime.test.v1"));
+  doc.Set("count", JsonValue::Uint(42));
+  doc.Set("delta", JsonValue::Int(-7));
+  doc.Set("ratio", JsonValue::Double(0.125));
+  doc.Set("stamps", JsonValue::Array().Push(JsonValue::Uint(1)).Push(JsonValue::Uint(2)));
+
+  // The written bytes are Dump(2) plus a newline, and read back as the
+  // same tree.
+  std::string error;
+  ASSERT_TRUE(WriteTelemetryDocument(dir + "/doc.json", doc, &error)) << error;
+  EXPECT_EQ(FileBytes(dir + "/doc.json"), doc.ToString(2) + "\n");
+  const std::optional<JsonValue> read = ReadTelemetryDocument(dir + "/doc.json", &error);
+  ASSERT_TRUE(read.has_value()) << error;
+  EXPECT_TRUE(*read == doc);
+
+  EXPECT_FALSE(ReadTelemetryDocument(dir + "/absent.json", &error).has_value());
+  EXPECT_NE(error.find("absent.json"), std::string::npos) << error;
+
+  std::ofstream(dir + "/malformed.json") << "{\"count\": 42,";
+  EXPECT_FALSE(ReadTelemetryDocument(dir + "/malformed.json", &error).has_value());
+  EXPECT_NE(error.find("malformed.json: "), std::string::npos) << error;
+
+  EXPECT_FALSE(WriteTelemetryDocument(dir + "/no_such_dir/doc.json", doc, &error));
+  EXPECT_NE(error.find("cannot open "), std::string::npos) << error;
+}
+
+// A file from the retired binary container: magic "HTB1", payload kind 1
+// (a JSON document), then {"schema":"hammertime.test.v1","count":42} as
+// interned strings and varints. It fails like any other non-JSON input.
+TEST(TelemetryFile, RefusesOldBinaryContainer) {
+  using namespace std::string_literals;
+  const std::string path = TempDirFor("telemetry_old_file") + "/old.htb";
+  std::ofstream(path, std::ios::binary) << "HTB1\x01\x03\x06"
+                                           "schema\x12"
+                                           "hammertime.test.v1\x05"
+                                           "count\x09\x02\x00\x06\x01\x02\x04\x2a"s;
+  std::string error;
+  EXPECT_FALSE(ReadTelemetryDocument(path, &error).has_value());
+  EXPECT_NE(error.find(path + ": "), std::string::npos) << error;
 }
 
 // --- Sampler -----------------------------------------------------------------

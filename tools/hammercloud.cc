@@ -15,9 +15,9 @@
 //   hammercloud --tenants 1024 --churn 0.02 --out cloud.json
 //   hammercloud --families isolation,frequency,none --seeds 1,2
 //               --cache-dir .cloud-cache --resume --out campaign.json
-//   hammercloud --shard 1/2 ... --out shard1.htb    # on machine A
-//   hammercloud --shard 2/2 ... --out shard2.htb    # on machine B
-//   hammercloud --merge shard1.htb shard2.htb --out merged.json
+//   hammercloud --shard 1/2 ... --out shard1.json    # on machine A
+//   hammercloud --shard 2/2 ... --out shard2.json    # on machine B
+//   hammercloud --merge shard1.json shard2.json --out merged.json
 //
 // Replaying one interesting cell from a report:
 //   hammercloud --families frequency --attacks pattern --seeds 0x2a --out replay.json

@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
     return Fail("unknown hw mitigation " + hw + " (known: " + KnownHwMitigationKinds() + ")");
   }
 
-  // The runner writes --trace-out/--metrics-out (extension-dispatched:
-  // `.htb` writes hammertime.bin.v1) exactly as it does for the benches.
+  // The runner writes --trace-out/--metrics-out exactly as it does for
+  // the benches.
   const unsigned threads = ApplyRunnerFlags(parser);
   const ScenarioResult result = RunScenarios({spec}, threads).front();
 

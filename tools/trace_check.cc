@@ -11,12 +11,6 @@
 //                                         identical after zeroing the
 //                                         non-deterministic wall_seconds
 //                                         (serial-vs-parallel check).
-//   trace_check --convert IN OUT          lossless format conversion:
-//                                         hammertime.bin.v1 traces become
-//                                         Chrome JSON, binary documents
-//                                         become their exact JSON text,
-//                                         and JSON documents become .htb
-//                                         when OUT ends in .htb.
 //   trace_check --trend BASELINE CURRENT [--tolerance X]
 //                                         cross-revision regression gate:
 //                                         counters must match exactly,
@@ -32,9 +26,7 @@
 //                                         SCOPE (whole doc when omitted)
 //                                         to fabricate a regression.
 //
-// Every FILE argument may be JSON text or a hammertime.bin.v1 (.htb)
-// container; all of them are read by ReadTelemetryDocument, which sniffs
-// content, not extensions.
+// Every FILE argument is JSON text, read by ReadTelemetryDocument.
 //
 // Exits 0 on success, 1 on validation failure, 2 on usage/IO errors.
 #include <cstdio>
@@ -43,10 +35,8 @@
 #include <vector>
 
 #include "common/argparse.h"
-#include "common/telemetry/binary.h"
 #include "common/telemetry/json.h"
 #include "common/telemetry/report.h"
-#include "common/telemetry/trace.h"
 #include "common/telemetry/trend.h"
 
 namespace {
@@ -59,15 +49,13 @@ int Usage() {
       "       trace_check --pattern FILE\n"
       "       trace_check --cloud FILE\n"
       "       trace_check --compare FILE FILE\n"
-      "       trace_check --convert IN OUT\n"
       "       trace_check --trend BASELINE CURRENT [--tolerance X]\n"
       "       trace_check --inject-slowdown FACTOR IN OUT [SCOPE]\n",
       stderr);
   return 2;
 }
 
-// Loads a telemetry file through the one reader (a .htb trace reads as
-// its Chrome JSON twin, so --trace validates both alike).
+// Loads a telemetry file; a read or parse error goes to stderr.
 std::optional<ht::JsonValue> ParseFile(const std::string& path) {
   std::string error;
   std::optional<ht::JsonValue> doc = ht::ReadTelemetryDocument(path, &error);
@@ -120,7 +108,8 @@ int main(int argc, char** argv) {
   std::string error;
 
   // The schema modes: FILE must validate, and the summary names its size.
-  const std::vector<std::string> names(argv + 3, argv + argc);  // --trace only.
+  // Only --trace takes arguments after FILE.
+  const std::vector<std::string> names(argv + 3, argv + argc);
   const auto cells = [](const ht::JsonValue& doc) {
     return std::to_string(doc.Find("cells")->size()) + "/" +
            std::to_string(doc.Find("grid_cells")->as_uint()) + " cells";
@@ -154,6 +143,9 @@ int main(int argc, char** argv) {
   for (const SchemaMode& schema : schema_modes) {
     if (mode != schema.flag) {
       continue;
+    }
+    if (!names.empty() && mode != "--trace") {
+      return Usage();
     }
     auto doc = ParseFile(argv[2]);
     if (!doc.has_value()) {
@@ -190,47 +182,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("trace_check: %s == %s (modulo wall_seconds)\n", argv[2], argv[3]);
-    return 0;
-  }
-
-  if (mode == "--convert") {
-    if (argc != 4) {
-      return Usage();
-    }
-    const std::string in_path = argv[2];
-    const std::string out_path = argv[3];
-    std::optional<std::string> read = ht::ReadFileBytes(in_path, &error);
-    if (!read.has_value()) {
-      std::fprintf(stderr, "trace_check: %s\n", error.c_str());
-      return 2;
-    }
-    const std::string& bytes = *read;
-    if (ht::SniffHtbPayload(bytes) == ht::HtbPayload::kTrace) {
-      // Binary trace -> Chrome JSON (or re-encoded .htb). The decode
-      // reproduces the exact TraceBufferSnapshots the producer held, so
-      // the JSON twin is byte-identical to writing it directly.
-      auto buffers = ht::DecodeTraceBinary(bytes, &error);
-      if (!buffers.has_value()) {
-        std::fprintf(stderr, "trace_check: %s: %s\n", in_path.c_str(), error.c_str());
-        return 1;
-      }
-      if (!ht::WriteTraceOutput(out_path, *buffers, &error)) {
-        std::fprintf(stderr, "trace_check: %s\n", error.c_str());
-        return 2;
-      }
-      std::printf("trace_check: converted trace %s -> %s (%zu buffers)\n", in_path.c_str(),
-                  out_path.c_str(), buffers->size());
-      return 0;
-    }
-    auto doc = ParseFile(in_path);
-    if (!doc.has_value()) {
-      return 1;
-    }
-    if (!ht::WriteTelemetryDocument(out_path, *doc, &error)) {
-      std::fprintf(stderr, "trace_check: %s\n", error.c_str());
-      return 2;
-    }
-    std::printf("trace_check: converted document %s -> %s\n", in_path.c_str(), out_path.c_str());
     return 0;
   }
 
